@@ -20,7 +20,12 @@ gate checks.
 A pre-soak probe also A/Bs the span-collection cost (collector on vs
 off, interleaved direct engine runs) and gates the overhead under
 ``--trace-overhead-tolerance`` — distributed tracing must stay
-invisible at kernel granularity.
+invisible at kernel granularity.  The A/B runs on a collector
+pre-filled past its capacity, the state a long-lived server is in, and
+the probe also gates the cost of one empty span there against the cost
+on an empty collector (``span_cost_us_saturated`` ≤ 3×
+``span_cost_us_empty``): filing a span must not get dearer with
+history.
 
 Exit codes: 0 clean, 1 on drift, 2 on a harness error (no successful
 jobs at all), 3 on a ``--baseline`` regression.
@@ -246,6 +251,42 @@ def drift_checks(args, windows, workload):
     return checks
 
 
+#: Empty spans timed for each ``span_cost_us_*`` number.
+SPAN_COST_SPANS = 10_000
+#: How much dearer a span may be on a saturated collector than on an
+#: empty one before retention counts as history-dependent.
+SPAN_COST_SATURATED_LIMIT = 3.0
+
+
+def saturate_collector():
+    """Swap in a fresh global collector and fill it past capacity with
+    finished traces — every tenth errored, durations spread so some sit
+    above the moving p95, the head sampler taking its share of the rest
+    — so protected and ordinary traces are both in play."""
+    from repro.obs import Span, mark_trace, reset_collector
+
+    collector = reset_collector()
+    for i in range(4 * collector.max_traces):
+        trace_id = f"soak-prefill-{i}"
+        if i % 10 == 0:
+            mark_trace(trace_id, error=True)
+        collector.add(Span(name="soak.prefill", span_id=trace_id,
+                           trace_id=trace_id, started=time.time(),
+                           duration_seconds=0.001 * (1 + i % 23)))
+
+
+def span_cost_us(n_spans):
+    """Mean cost of one empty ``with trace(...)`` span, in µs, on the
+    global collector as it stands."""
+    from repro.obs import trace
+
+    started = time.perf_counter()
+    for _ in range(n_spans):
+        with trace("soak.probe"):
+            pass
+    return 1e6 * (time.perf_counter() - started) / n_spans
+
+
 def tracing_overhead_probe(args):
     """A/B the cost of span *collection* on direct engine runs.
 
@@ -259,6 +300,7 @@ def tracing_overhead_probe(args):
     """
     from repro.bench.workloads import synthetic_workload
     from repro.engine import run
+    from repro.obs import reset_collector
     from repro.obs.collect import set_collector_enabled
 
     iterations = max(args.iterations, 600)  # long enough to time honestly
@@ -273,6 +315,18 @@ def tracing_overhead_probe(args):
         return iterations / max(time.perf_counter() - started, 1e-9)
 
     once(9_000)  # warmup: imports, allocator, branch caches
+    # The empty-collector cost, from batches too short to fill a fresh
+    # collector; then everything else — the saturated cost and the A/B
+    # — on a collector past capacity, which is what a server that has
+    # been up for an hour files its spans into.
+    batch = max(1, reset_collector().max_traces // 2)
+    batch_costs = []
+    for _ in range(SPAN_COST_SPANS // batch):
+        reset_collector()
+        batch_costs.append(span_cost_us(batch))
+    cost_empty = sum(batch_costs) / len(batch_costs)
+    saturate_collector()
+    cost_saturated = span_cost_us(SPAN_COST_SPANS)
     arms = {True: [], False: []}
     pair_overheads = []
     seed = 9_001
@@ -291,6 +345,7 @@ def tracing_overhead_probe(args):
     ips_on = percentile(sorted(arms[True]), 50)
     ips_off = percentile(sorted(arms[False]), 50)
     overhead = percentile(sorted(pair_overheads), 50) or 0.0
+    reset_collector()
     return {
         "rounds": args.trace_overhead_rounds,
         "iterations_per_second_collecting": round(ips_on, 1),
@@ -298,6 +353,10 @@ def tracing_overhead_probe(args):
         "overhead_fraction": round(overhead, 4),
         "tolerance": args.trace_overhead_tolerance,
         "ok": overhead <= args.trace_overhead_tolerance,
+        "span_cost_us_empty": round(cost_empty, 2),
+        "span_cost_us_saturated": round(cost_saturated, 2),
+        "span_cost_ok": (cost_saturated
+                         <= SPAN_COST_SATURATED_LIMIT * cost_empty),
     }
 
 
@@ -420,6 +479,15 @@ def main(argv=None):
                 f"off: {overhead_doc['iterations_per_second_dark']} it/s "
                 f"({overhead_doc['overhead_fraction']:+.1%}, limit "
                 f"{overhead_doc['tolerance']:.0%})"),
+        })
+        checks.append({
+            "name": "span_cost_saturated",
+            "ok": overhead_doc["span_cost_ok"],
+            "detail": (
+                f"empty span on a saturated collector: "
+                f"{overhead_doc['span_cost_us_saturated']} us, on an empty "
+                f"one: {overhead_doc['span_cost_us_empty']} us (limit "
+                f"{SPAN_COST_SATURATED_LIMIT:g}x)"),
         })
     document = {
         "benchmark": "soak",

@@ -4,8 +4,8 @@ The flat recent-span ring (:func:`repro.obs.trace.recent_spans`)
 answers "what happened lately"; this module answers "what happened to
 *that request*".  Every finished span is bucketed by its ``trace_id``
 into a :class:`TraceCollector`, and a :class:`TraceSampler` decides —
-at eviction time, when the trace's fate is known — which traces are
-worth keeping:
+once per trace, when it ages out of the collector's *recent* buffers
+and its fate is known — which traces are worth keeping:
 
 * traces marked **errored** or **deadline-hit** are always retained;
 * traces whose top span ran longer than a **moving p95** of recent
@@ -13,9 +13,12 @@ worth keeping:
 * a configurable **head-sampled fraction** is retained by a
   deterministic hash of the trace id, so a baseline of ordinary
   traffic survives for comparison;
-* everything else is evicted oldest-first once the collector is over
-  capacity, and retention is hard-bounded even when every trace is
-  protected — a storm of errors cannot grow memory without limit.
+* everything else is evicted, and the retained traces are themselves
+  hard-bounded, oldest out first — a storm of errors cannot grow
+  memory without limit, nor crowd out the traces just finished.
+
+Filing a span costs amortised O(1) whatever the process has served:
+no trace is judged twice and the p95 window is never re-sorted.
 
 The collector is process-global (like the span ring) so spans recorded
 anywhere in a process land in one place; ``op:trace`` serves its
@@ -27,6 +30,7 @@ from __future__ import annotations
 import os
 import threading
 import zlib
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
@@ -57,10 +61,14 @@ _P95_WINDOW = 128
 class TraceSampler:
     """Tail-based keep/evict policy for finished traces.
 
-    ``keep()`` is consulted only when the collector must shed a trace;
-    until then every trace is buffered, which is what makes the
-    sampling *tail-based* — the decision happens after the outcome
-    (error, deadline, duration) is known, not at the first span.
+    ``keep()`` is consulted once per trace, when it ages out of the
+    collector's *recent* buffers; until then every trace is buffered,
+    which is what makes the sampling *tail-based* — the decision
+    happens after the outcome (error, deadline, duration) is known,
+    not at the first span.
+
+    A sampler holds no lock of its own: the collector that owns it
+    calls it under the collector's lock.
     """
 
     def __init__(
@@ -69,35 +77,41 @@ class TraceSampler:
         p95_window: int = _P95_WINDOW,
     ):
         self.head_fraction = max(0.0, min(1.0, head_fraction))
-        self._durations: Deque[float] = deque(maxlen=p95_window)
-        self._errored: Dict[str, bool] = {}
-        self._deadline: Dict[str, bool] = {}
-        self._lock = threading.Lock()
+        # The p95 window twice: arrival order (which sample expires
+        # next) and sorted order (the percentile is one index away).
+        self._durations: Deque[float] = deque(maxlen=max(1, p95_window))
+        self._sorted: List[float] = []
+        # Errored / deadline-hit trace ids awaiting their decision.  A
+        # mark can precede the trace's first span or name a trace this
+        # process never buffers, so the map is FIFO-capped at
+        # ``MAX_TRACES`` (all a collector can hold undecided), not
+        # tied to the buffers.
+        self._marked: "OrderedDict[str, None]" = OrderedDict()
 
     def mark(self, trace_id: Optional[str], *, error: bool = False,
              deadline: bool = False) -> None:
         """Flag a trace as errored and/or deadline-hit (always kept)."""
-        if not trace_id:
+        if not trace_id or not (error or deadline):
             return
-        with self._lock:
-            if error:
-                self._errored[str(trace_id)] = True
-            if deadline:
-                self._deadline[str(trace_id)] = True
+        self._marked[str(trace_id)] = None
+        if len(self._marked) > max(1, MAX_TRACES):
+            self._marked.popitem(last=False)
 
     def note_duration(self, seconds: float) -> None:
         """Feed a top-span duration into the moving-p95 estimator."""
-        if seconds is None:
+        if seconds is None or seconds != seconds:  # NaN has no rank
             return
-        with self._lock:
-            self._durations.append(float(seconds))
+        if len(self._durations) == self._durations.maxlen:
+            expiring = self._durations[0]
+            del self._sorted[bisect_left(self._sorted, expiring)]
+        self._durations.append(float(seconds))
+        insort(self._sorted, float(seconds))
 
     def moving_p95(self) -> Optional[float]:
-        with self._lock:
-            if len(self._durations) < 8:
-                return None  # not enough signal to call anything slow
-            ordered = sorted(self._durations)
-        return ordered[min(len(ordered) - 1, (95 * len(ordered)) // 100)]
+        n = len(self._sorted)
+        if n < 8:
+            return None  # not enough signal to call anything slow
+        return self._sorted[min(n - 1, (95 * n) // 100)]
 
     def head_sampled(self, trace_id: str) -> bool:
         """Deterministic per-trace coin flip at ``head_fraction``."""
@@ -108,9 +122,8 @@ class TraceSampler:
 
     def keep(self, trace_id: str, top_duration: Optional[float]) -> bool:
         """Should this trace survive eviction pressure?"""
-        with self._lock:
-            if self._errored.get(trace_id) or self._deadline.get(trace_id):
-                return True
+        if trace_id in self._marked:
+            return True
         p95 = self.moving_p95()
         # Strictly above: under perfectly uniform traffic every trace
         # *equals* the p95, and >= would protect all of them.
@@ -120,9 +133,7 @@ class TraceSampler:
         return self.head_sampled(trace_id)
 
     def forget(self, trace_id: str) -> None:
-        with self._lock:
-            self._errored.pop(trace_id, None)
-            self._deadline.pop(trace_id, None)
+        self._marked.pop(trace_id, None)
 
 
 class _TraceBuffer:
@@ -134,14 +145,18 @@ class _TraceBuffer:
 
 
 class TraceCollector:
-    """Bounded per-trace-id span store with sampler-driven eviction.
+    """Bounded per-trace-id span store with decide-once retention.
 
     Keyed by ``Span.trace_id``; an index from span id to trace id lets
     the router find "the trace containing span X" when all it holds is
-    the submit span's id.  Over :attr:`max_traces`, the oldest trace
-    the sampler declines to keep is evicted; if *every* buffered trace
-    is protected the oldest one goes anyway, so retention stays
-    bounded under churn (a flood of errored jobs included).
+    the submit span's id.  Buffers live in two FIFO maps.  A trace
+    starts in *recent*, ordered by its latest span.  Over
+    :attr:`max_traces`, the oldest recent trace is put to the sampler
+    — once — and either evicted or moved to *retained*, which holds at
+    most half of :attr:`max_traces` and sheds its own oldest.  So no
+    trace is ever looked at twice, retention stays bounded when every
+    trace is protected (a flood of errored jobs included), and the
+    newest ``max_traces // 2`` traces are always complete.
     """
 
     def __init__(
@@ -153,23 +168,27 @@ class TraceCollector:
         self.max_traces = max(1, max_traces)
         self.max_spans_per_trace = max(1, max_spans_per_trace)
         self.sampler = sampler if sampler is not None else TraceSampler()
-        self._traces: "OrderedDict[str, _TraceBuffer]" = OrderedDict()
+        self._recent: "OrderedDict[str, _TraceBuffer]" = OrderedDict()
+        self._retained: "OrderedDict[str, _TraceBuffer]" = OrderedDict()
         self._span_index: Dict[str, str] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._traces)
+            return len(self._recent) + len(self._retained)
 
     def add(self, span: "Span") -> None:
         """File a finished span under its trace id."""
         trace_id = getattr(span, "trace_id", None) or span.span_id
         with self._lock:
-            buf = self._traces.get(trace_id)
-            if buf is None:
-                buf = _TraceBuffer()
-                self._traces[trace_id] = buf
-            self._traces.move_to_end(trace_id)
+            buf = self._recent.get(trace_id)
+            if buf is not None:
+                self._recent.move_to_end(trace_id)
+            else:
+                buf = self._retained.get(trace_id)
+                if buf is None:
+                    buf = self._recent[trace_id] = _TraceBuffer()
+                    self._evict_locked()
             if len(buf.spans) < self.max_spans_per_trace:
                 buf.spans.append(span)
                 self._span_index[span.span_id] = trace_id
@@ -182,31 +201,29 @@ class TraceCollector:
                         or span.duration_seconds > buf.top_duration:
                     buf.top_duration = span.duration_seconds
                 self.sampler.note_duration(span.duration_seconds)
-            evicted = self._evict_locked()
-        for tid in evicted:
-            self.sampler.forget(tid)
 
-    def _evict_locked(self) -> List[str]:
-        evicted: List[str] = []
-        while len(self._traces) > self.max_traces:
-            victim = None
-            for tid, buf in self._traces.items():  # oldest first
-                if not self.sampler.keep(tid, buf.top_duration):
-                    victim = tid
-                    break
-            if victim is None:
-                # Everything is protected: retention must still be
-                # bounded, so the oldest protected trace goes.
-                victim = next(iter(self._traces))
-            buf = self._traces.pop(victim)
+    def _evict_locked(self) -> None:
+        # Only a new buffer grows the store, and it sits at the young
+        # end of *recent*, which always holds more than one trace here
+        # (*retained* is capped at half), so it is never the victim.
+        while len(self._recent) + len(self._retained) > self.max_traces:
+            tid, buf = self._recent.popitem(last=False)
+            keep = self.sampler.keep(tid, buf.top_duration)
+            self.sampler.forget(tid)  # decided: the mark has done its job
+            if keep:
+                self._retained[tid] = buf
+                if len(self._retained) <= self.max_traces // 2:
+                    continue
+                tid, buf = self._retained.popitem(last=False)
             for span in buf.spans:
                 self._span_index.pop(span.span_id, None)
-            evicted.append(victim)
-        return evicted
 
     def trace_ids(self) -> List[str]:
         with self._lock:
-            return list(self._traces)
+            return list(self._retained) + list(self._recent)
+
+    def _buffer_locked(self, trace_id: str) -> Optional[_TraceBuffer]:
+        return self._recent.get(trace_id) or self._retained.get(trace_id)
 
     def trace_for_span(self, span_id: Optional[str]) -> Optional[str]:
         """The trace id whose buffer contains *span_id*, if any."""
@@ -214,7 +231,7 @@ class TraceCollector:
             return None
         with self._lock:
             tid = self._span_index.get(str(span_id))
-            if tid is None and str(span_id) in self._traces:
+            if tid is None and self._buffer_locked(str(span_id)) is not None:
                 tid = str(span_id)  # remote root: keyed but never local
             return tid
 
@@ -223,7 +240,7 @@ class TraceCollector:
         if not trace_id:
             return []
         with self._lock:
-            buf = self._traces.get(str(trace_id))
+            buf = self._buffer_locked(str(trace_id))
             spans = list(buf.spans) if buf is not None else []
         return [span.as_dict() for span in spans]
 
@@ -233,11 +250,13 @@ class TraceCollector:
 
     def mark(self, trace_id: Optional[str], *, error: bool = False,
              deadline: bool = False) -> None:
-        self.sampler.mark(trace_id, error=error, deadline=deadline)
+        with self._lock:
+            self.sampler.mark(trace_id, error=error, deadline=deadline)
 
     def clear(self) -> None:
         with self._lock:
-            self._traces.clear()
+            self._recent.clear()
+            self._retained.clear()
             self._span_index.clear()
 
 

@@ -68,12 +68,22 @@ def _trace_id_for(parent: Optional["Span"], span_id: str) -> str:
     return span_id
 
 
-def _finish(span: "Span") -> None:
-    """File a finished span into the ring and the per-trace collector."""
+def _finish(span: "Span", registry: Optional[MetricsRegistry],
+            metric_labels: Dict[str, object]) -> "Span":
+    """File a finished span — the ring, the per-trace collector — and
+    feed its duration to the ``trace_span_seconds`` histogram."""
     with _ring_lock:
         _recent.append(span)
     if _collect.collector_enabled():
         _collect.get_collector().add(span)
+    reg = registry if registry is not None else get_registry()
+    reg.histogram(
+        "trace_span_seconds",
+        help="Durations of traced spans, by span name.",
+        span=span.name,
+        **metric_labels,
+    ).observe(span.duration_seconds)
+    return span
 
 
 @dataclass
@@ -137,27 +147,11 @@ def record_span(
     carries high-cardinality detail (job ids, tile indices) that must
     not mint a metric series per value.
     """
-    parent = _current.get()
-    span_id = _next_span_id()
-    span = Span(
-        name=name,
-        span_id=span_id,
-        parent_id=parent.span_id if parent is not None else None,
-        labels={str(k): str(v) for k, v in labels.items()},
-        started=time.time() - max(duration_seconds, 0.0),
-        duration_seconds=duration_seconds,
-        trace_id=_trace_id_for(parent, span_id),
-    )
-    _finish(span)
-    reg = registry if registry is not None else get_registry()
-    metric_labels = histogram_labels if histogram_labels is not None else labels
-    reg.histogram(
-        "trace_span_seconds",
-        help="Durations of traced spans, by span name.",
-        span=name,
-        **metric_labels,
-    ).observe(duration_seconds)
-    return span
+    span = open_span(name, **labels)
+    span.started -= max(duration_seconds, 0.0)
+    return close_span(span, duration_seconds, registry,
+                      histogram_labels if histogram_labels is not None
+                      else labels)
 
 
 def open_span(name: str, **labels) -> Span:
@@ -209,17 +203,8 @@ def close_span(
     by default, *histogram_labels* to decouple — see
     :func:`record_span`)."""
     span.duration_seconds = duration_seconds
-    _finish(span)
-    reg = registry if registry is not None else get_registry()
-    metric_labels = (histogram_labels if histogram_labels is not None
-                     else span.labels)
-    reg.histogram(
-        "trace_span_seconds",
-        help="Durations of traced spans, by span name.",
-        span=span.name,
-        **metric_labels,
-    ).observe(duration_seconds)
-    return span
+    return _finish(span, registry, histogram_labels
+                   if histogram_labels is not None else span.labels)
 
 
 @contextmanager
@@ -253,16 +238,7 @@ def trace(
     **labels,
 ) -> Iterator[Span]:
     """Time a block as a span under the current context's parent."""
-    parent = _current.get()
-    span_id = _next_span_id()
-    span = Span(
-        name=name,
-        span_id=span_id,
-        parent_id=parent.span_id if parent is not None else None,
-        labels={str(k): str(v) for k, v in labels.items()},
-        started=time.time(),
-        trace_id=_trace_id_for(parent, span_id),
-    )
+    span = open_span(name, **labels)
     token = _current.set(span)
     t0 = time.perf_counter()
     try:
@@ -270,11 +246,4 @@ def trace(
     finally:
         span.duration_seconds = time.perf_counter() - t0
         _current.reset(token)
-        _finish(span)
-        reg = registry if registry is not None else get_registry()
-        reg.histogram(
-            "trace_span_seconds",
-            help="Durations of traced spans, by span name.",
-            span=name,
-            **labels,
-        ).observe(span.duration_seconds)
+        _finish(span, registry, labels)

@@ -7,10 +7,16 @@ propagate through nested/remote-parented spans so every span of one
 request lands in one buffer.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, record_span, remote_parent, trace
+from repro.obs import collect
 from repro.obs.collect import (
+    MAX_TRACES,
     TraceCollector,
     TraceSampler,
     collector_enabled,
@@ -29,6 +35,15 @@ def make_span(span_id, trace_id=None, parent_id=None, duration=0.01,
     return Span(name=name, span_id=span_id, parent_id=parent_id,
                 trace_id=trace_id or span_id, started=0.0,
                 duration_seconds=duration)
+
+
+@pytest.fixture
+def no_sorting(monkeypatch):
+    """Trip on any ``sorted()`` in the collector module: the p95 window
+    is kept in order as samples arrive, never re-sorted per question."""
+    def tripwire(*args, **kwargs):
+        raise AssertionError("sorted() on the span path")
+    monkeypatch.setattr(collect, "sorted", tripwire, raising=False)
 
 
 class TestTraceSampler:
@@ -63,6 +78,28 @@ class TestTraceSampler:
             sampler.note_duration(0.010)
         assert sampler.keep("t-slow", 0.500)
         assert not sampler.keep("t-fast", 0.001)
+
+    def test_p95_window_slides_without_sorting(self, no_sorting):
+        sampler = TraceSampler(p95_window=16)
+        rng = random.Random(7)
+        window = []
+        for _ in range(200):
+            value = rng.random()
+            sampler.note_duration(value)
+            window = (window + [value])[-16:]
+            ordered = sorted(window)
+            expected = None if len(ordered) < 8 else \
+                ordered[min(len(ordered) - 1, (95 * len(ordered)) // 100)]
+            assert sampler.moving_p95() == expected
+
+    def test_marks_on_unknown_traces_stay_bounded(self):
+        # service/router mark traces this process may never buffer (or
+        # has already evicted); nothing ever forgets those.
+        coll = TraceCollector(max_traces=8)
+        for i in range(100_000):
+            coll.mark(f"ghost-{i}", error=i % 2 == 0, deadline=i % 2 == 1)
+        assert len(coll.sampler._marked) <= MAX_TRACES
+        assert coll.sampler.keep("ghost-99999", None)  # newest survive
 
     def test_head_fraction_bounds(self):
         none = TraceSampler(head_fraction=0.0)
@@ -160,6 +197,91 @@ class TestTraceCollector:
         coll.clear()
         assert len(coll) == 0
         assert coll.spans("t") == []
+
+
+def add_job(coll, trace_id, total):
+    """One request's four spans, filed innermost first the way nested
+    ``with trace(...)`` blocks finish."""
+    ids = [trace_id] + [f"{trace_id}/{k}" for k in range(3)]
+    for depth in (3, 2, 1):
+        coll.add(make_span(ids[depth], trace_id=trace_id,
+                           parent_id=ids[depth - 1],
+                           duration=total * (1 - 0.2 * depth)))
+    coll.add(make_span(trace_id, duration=total))
+    return ids
+
+
+class TestRetentionUnderSaturation:
+    def test_recent_traces_survive_saturation(self):
+        # ~10 % of these are protected (5 % head + the p95 tail).  The
+        # parent algorithm let them fill every slot, after which a
+        # just-finished ordinary job came back with none of its spans.
+        max_traces = 64
+        coll = TraceCollector(max_traces=max_traces)
+        rng = random.Random(2010)
+        n_jobs = 10 * max_traces
+        # Early enough that ~3x max_traces jobs follow it, late enough
+        # that fewer than max_traces // 2 *protected* ones do — the
+        # point where the retained FIFO would shed it.
+        errored_at = n_jobs - 3 * max_traces
+        jobs = []
+        for i in range(n_jobs):
+            tid = f"job-{i}"
+            if i == errored_at:
+                coll.mark(tid, error=True)  # marked before its spans land
+            jobs.append(add_job(coll, tid, rng.lognormvariate(-5.0, 0.5)))
+            assert len(coll) <= max_traces
+        assert len(coll._retained) == max_traces // 2  # protection piled up
+        for ids in jobs[-(max_traces // 2):]:
+            assert [s["span_id"] for s in coll.spans(ids[0])] == \
+                ids[:0:-1] + ids[:1]
+            assert len(coll.spans_for_member(ids[-1])) == 4
+        assert len(coll.spans(f"job-{errored_at}")) == 4
+
+    def test_a_trace_is_judged_once(self, no_sorting):
+        # Counts, not clocks: filing a span must not cost more the more
+        # has been served.  20,000 traces through a default collector.
+        coll = TraceCollector()
+        calls = []
+        judge = coll.sampler.keep
+        coll.sampler.keep = lambda tid, top: calls.append(tid) or judge(tid, top)
+        n = 20_000
+        for i in range(n):
+            if i % 50 == 0:
+                coll.mark(f"t-{i}", error=True)
+            coll.add(make_span(f"t-{i}", duration=(i % 97) / 1000.0))
+        assert len(calls) == len(set(calls)) <= n
+        assert len(coll) == coll.max_traces
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_traces=st.integers(1, 8),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 30),
+                      st.floats(0.0, 1.0)),
+            st.tuples(st.just("mark"), st.integers(0, 30)),
+            st.tuples(st.just("clear")),
+        ), max_size=200),
+    )
+    def test_store_invariants_under_interleaving(self, max_traces, ops):
+        coll = TraceCollector(max_traces=max_traces,
+                              sampler=TraceSampler(head_fraction=0.3))
+        for n, op in enumerate(ops):
+            if op[0] == "add":
+                tid = f"t-{op[1]}"
+                coll.add(make_span(f"s-{n}", trace_id=tid, parent_id=tid,
+                                   duration=op[2]))
+            elif op[0] == "mark":
+                coll.mark(f"t-{op[1]}", error=True)
+            else:
+                coll.clear()
+            recent, retained = set(coll._recent), set(coll._retained)
+            assert not recent & retained
+            assert len(recent) + len(retained) == len(coll) <= max_traces
+            assert len(retained) <= max_traces // 2
+            # No index entry outlives its trace's eviction.
+            assert set(coll._span_index.values()) <= recent | retained
+            assert set(coll.trace_ids()) == recent | retained
 
 
 class TestTraceIdPropagation:
