@@ -5,7 +5,8 @@ Where ``scripts/soak.py`` measures drift under a steady kill/revive
 cadence, this harness drives a :class:`LocalCluster` through *scripted*
 fault scenarios — SIGKILL mid-stream with a warm standby armed, a
 same-port router restart, a torn write-ahead log, a slow node that
-answers but never in time, a SIGSTOP'd process that is alive-but-frozen
+answers but never in time, a SIGSTOP'd process that is alive-but-frozen,
+a backend restarted behind the router's idle pooled connections
 — and hard-gates the self-healing invariants on each:
 
 * **no lost acked job** — every job the router acked reaches a terminal
@@ -421,12 +422,55 @@ def scenario_pause_resume(args, inv):
     }
 
 
+def scenario_pooled_restart(args, inv):
+    """Restart every backend on its own port while the router holds
+    idle pooled connections to it.  A stale socket is not a dead node:
+    the next jobs must retry on fresh connections and complete where
+    they belong — no acked job lost, no ``down`` transition, no
+    failover."""
+    name = "pooled_restart"
+    seeds = range(20, 28)
+    # Probes far apart: job traffic alone meets the restarted backends.
+    with LocalCluster(n_backends=2, mode=args.mode,
+                      probe_interval=600.0) as cluster:
+        client = ServiceClient(*cluster.address)
+
+        def run_jobs():
+            for seed in seeds:
+                ack = client.submit_wait(job_for(args, seed))
+                inv.ack(name, ack["job_id"])
+                out = client.collect(ack["job_id"])
+                inv.done(name, ack["job_id"], key=seed, result=out.result)
+
+        run_jobs()
+        before = client.stats()
+        t_fault = time.monotonic()
+        for index in range(len(cluster.backends)):
+            cluster.kill_backend(index)
+            cluster.revive_backend(index)
+        run_jobs()
+        inv.recovered(name, "backend-restart", time.monotonic() - t_fault)
+        after = client.stats()
+        client.close()
+    idle = [b["n_idle_connections"] for b in before["backends"]]
+    downs = sum(b["n_downs"] for b in after["backends"])
+    ok = (min(idle) >= 1 and downs == 0
+          and after["n_failovers"] == before["n_failovers"])
+    return {
+        "name": name, "ok": ok,
+        "detail": (f"idle connections at restart {idle}, "
+                   f"down transitions {downs}, n_failovers "
+                   f"{before['n_failovers']}->{after['n_failovers']}"),
+    }
+
+
 SCENARIOS = {
     "standby_promotion": scenario_standby_promotion,
     "router_restart": scenario_router_restart,
     "torn_wal": scenario_torn_wal,
     "slow_node": scenario_slow_node,
     "pause_resume": scenario_pause_resume,
+    "pooled_restart": scenario_pooled_restart,
 }
 
 

@@ -27,6 +27,14 @@ on an empty collector (``span_cost_us_saturated`` ≤ 3×
 ``span_cost_us_empty``): filing a span must not get dearer with
 history.
 
+Connection reuse is gated too: over the last load window (steady state
+— the fault cycle leaves it alone) the backends may accept at most
+``CONNECTIONS_PER_JOB_LIMIT`` new connections per completed job.  The
+router borrows pooled connections for submits, streams and probes, so
+the honest number is ~0; a return to a connection per job reads 1.0.
+``memo_hit_ratio`` (the router's fingerprint memo over the same window)
+is reported next to it.
+
 Exit codes: 0 clean, 1 on drift, 2 on a harness error (no successful
 jobs at all), 3 on a ``--baseline`` regression.
 """
@@ -135,6 +143,60 @@ def submitter(index, args, cluster, workload, stop, t_start):
                 pass
 
 
+#: New backend connections per completed job tolerated at steady state.
+CONNECTIONS_PER_JOB_LIMIT = 0.1
+
+
+def n_windows(args):
+    return max(3, min(10, int(args.duration // 15)))
+
+
+def reuse_counters(cluster, workload):
+    """Where the reuse counters stand: connections accepted per backend
+    (over the router's ``op:metrics`` fan-out, which itself rides pooled
+    connections), the router's own memo lookups, jobs completed."""
+    with ServiceClient(*cluster.address) as client:
+        families = client.metrics().get("metrics") or {}
+
+    def samples(name):
+        return (families.get(name) or {}).get("samples") or []
+
+    return {
+        "accepted": {
+            s["labels"]["node"]: s["value"]
+            for s in samples("service_connections_accepted_total")
+            if "node" in s["labels"]
+        },
+        "memo": {
+            s["labels"]["result"]: s["value"]
+            for s in samples("spec_memo_lookups_total")
+            if "node" not in s["labels"]
+        },
+        "jobs_ok": len(workload.samples),
+    }
+
+
+def reuse_doc(start, end):
+    """Steady-state reuse between two :func:`reuse_counters` readings.
+    A backend revived in between restarts its count from zero: what it
+    has accepted since is then its whole reading."""
+    if start is None:
+        return {"connections_per_job": None, "memo_hit_ratio": None}
+    connections = 0
+    for node, after in end["accepted"].items():
+        before = start["accepted"].get(node, 0)
+        connections += after - before if after >= before else after
+    jobs = end["jobs_ok"] - start["jobs_ok"]
+    hits = end["memo"].get("hit", 0) - start["memo"].get("hit", 0)
+    misses = end["memo"].get("miss", 0) - start["memo"].get("miss", 0)
+    return {
+        "window_jobs": jobs,
+        "backend_connections_accepted": connections,
+        "connections_per_job": (connections / jobs) if jobs else None,
+        "memo_hit_ratio": (hits / (hits + misses)) if hits + misses else None,
+    }
+
+
 def run_fault_clock(args, cluster, workload, stop_at, memory_series,
                     fault_log, t_start):
     """The main-thread clock: memory sampling plus the kill/revive cycle.
@@ -142,15 +204,21 @@ def run_fault_clock(args, cluster, workload, stop_at, memory_series,
     One backend at a time: kill at each cadence tick, revive at the
     next, rotating through the pool so every backend gets its turn to
     die.  The pool never drops below ``backends - 1`` healthy nodes.
+    Returns the index still dead at the end (or None) and the
+    :func:`reuse_counters` reading taken as the last window opened.
     """
     dead_index = None
     kill_cursor = 0
     next_fault = (t_start + args.fault_every) if args.fault_every > 0 else None
+    steady_at = t_start + args.duration * (1 - 1 / n_windows(args))
+    steady_start = None
     while time.monotonic() < stop_at:
         time.sleep(0.25)
         now = time.monotonic()
         memory_series.append((now - t_start,
                               tracemalloc.get_traced_memory()[0]))
+        if steady_start is None and now >= steady_at:
+            steady_start = reuse_counters(cluster, workload)
         if next_fault is None or now < next_fault:
             continue
         next_fault += args.fault_every
@@ -170,24 +238,24 @@ def run_fault_clock(args, cluster, workload, stop_at, memory_series,
             fault_log.append({"t_seconds": t_rel, "action": "revive",
                               "node": node})
             dead_index = None
-    return dead_index
+    return dead_index, steady_start
 
 
 def window_rows(args, workload, memory_series):
     """Bucket samples into fixed time windows for the drift gates."""
-    n_windows = max(3, min(10, int(args.duration // 15)))
-    width = args.duration / n_windows
+    count = n_windows(args)
+    width = args.duration / count
     rows = []
-    for w in range(n_windows):
+    for w in range(count):
         lo, hi = w * width, (w + 1) * width
         lats = sorted(lat for t, lat, _ in workload.samples
-                      if lo <= t < hi or (w == n_windows - 1 and t >= hi))
+                      if lo <= t < hi or (w == count - 1 and t >= hi))
         cached = [c for t, _, c in workload.samples
-                  if lo <= t < hi or (w == n_windows - 1 and t >= hi)]
+                  if lo <= t < hi or (w == count - 1 and t >= hi)]
         fails = sum(1 for t, _ in workload.failures
-                    if lo <= t < hi or (w == n_windows - 1 and t >= hi))
+                    if lo <= t < hi or (w == count - 1 and t >= hi))
         mem = [b for t, b in memory_series
-               if lo <= t < hi or (w == n_windows - 1 and t >= hi)]
+               if lo <= t < hi or (w == count - 1 and t >= hi)]
         rows.append({
             "index": w,
             "start_seconds": round(lo, 3),
@@ -202,7 +270,7 @@ def window_rows(args, workload, memory_series):
     return rows
 
 
-def drift_checks(args, windows, workload):
+def drift_checks(args, windows, workload, reuse):
     """First-window vs last-window drift gates, deliberately generous.
 
     The soak runs on shared CI hardware with faults mid-flight — the
@@ -248,6 +316,14 @@ def drift_checks(args, windows, workload):
 
     add("liveness", all(w["jobs_ok"] >= 1 for w in windows),
         "every window completed at least one job")
+
+    per_job = reuse["connections_per_job"]
+    add("connections_per_job",
+        per_job is not None and per_job <= CONNECTIONS_PER_JOB_LIMIT,
+        "no job completed in the last window" if per_job is None else
+        f"{reuse['backend_connections_accepted']:.0f} backend connections "
+        f"accepted over {reuse['window_jobs']} steady-state jobs "
+        f"({per_job:.3f}/job, limit {CONNECTIONS_PER_JOB_LIMIT})")
     return checks
 
 
@@ -446,12 +522,13 @@ def main(argv=None):
     try:
         for t in threads:
             t.start()
-        dead_index = run_fault_clock(args, cluster, workload,
-                                     t_start + args.duration,
-                                     memory_series, fault_log, t_start)
+        dead_index, steady_start = run_fault_clock(
+            args, cluster, workload, t_start + args.duration,
+            memory_series, fault_log, t_start)
         stop.set()
         for t in threads:
             t.join(timeout=30.0)
+        reuse = reuse_doc(steady_start, reuse_counters(cluster, workload))
         if dead_index is not None:
             node = cluster.revive_backend(dead_index)
             fault_log.append({"t_seconds": round(
@@ -468,7 +545,7 @@ def main(argv=None):
     lats = sorted(lat for _, lat, _ in workload.samples)
     cached = [c for _, _, c in workload.samples]
     windows = window_rows(args, workload, memory_series)
-    checks = drift_checks(args, windows, workload)
+    checks = drift_checks(args, windows, workload, reuse)
     if overhead_doc is not None:
         checks.append({
             "name": "tracing_overhead",
@@ -518,9 +595,12 @@ def main(argv=None):
             "cache_hit_rate": (sum(cached) / len(cached)) if cached else None,
             "peak_traced_memory_bytes": max(
                 (b for _, b in memory_series), default=0),
+            "connections_per_job": reuse["connections_per_job"],
+            "memo_hit_ratio": reuse["memo_hit_ratio"],
         },
         "windows": windows,
         "faults": fault_log,
+        "connection_reuse": reuse,
         "cluster": cluster_doc,
         "tracing_overhead": overhead_doc,
         "drift": {"checks": checks,

@@ -9,7 +9,7 @@ this measures *protocol* overhead, so determinism beats core count):
     The same concurrent traffic driven twice — once through the
     gateway's REST+SSE surface, once through the router's TCP
     JSON-lines protocol — and the ratio of the two walls.  HTTP adds
-    per-request framing and a fresh connection per call, so the ratio
+    per-request framing and one connection per SSE stream, so the ratio
     is the honest price of curl-ability; it should stay a small
     constant factor, and the baseline gate holds it there.
 

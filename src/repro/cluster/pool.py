@@ -16,6 +16,18 @@ node's health current two ways:
 The pool never decides placement — that is rendezvous hashing's job
 (:mod:`repro.cluster.hashing`); it only answers "who is alive" and
 keeps the per-node accounting the stats surface reports.
+
+It also owns the router's **connections** to its members: a bounded
+stack of idle JSON-lines connections per node that request/reply calls,
+event streams and probes all borrow (:meth:`BackendPool.request`) and
+hand back once the wire is clean again (:meth:`BackendPool.release`) —
+a steady stream of jobs costs a backend no new connection at all.  An
+idle connection can outlive the process behind it (same-port restart),
+so an error on a *reused* connection is not a verdict on the node: it is
+closed with everything else idle and the request retried once on a
+fresh connection; only that one failing is :class:`BackendDown`.  Idle
+connections are dropped when their node is marked down or removed, and
+by :meth:`BackendPool.drop_idle` when the router stops.
 """
 
 from __future__ import annotations
@@ -30,7 +42,18 @@ from repro.errors import ClusterError, ServiceError
 from repro.service.policy import RetryPolicy, RetryState
 from repro.service.protocol import MAX_LINE_BYTES, decode_line, encode_line
 
-__all__ = ["BackendNode", "BackendPool", "parse_address"]
+__all__ = ["BackendDown", "BackendNode", "BackendPool", "parse_address"]
+
+#: Idle connections kept per backend; a burst that borrows more closes
+#: the surplus on return.
+MAX_IDLE_PER_NODE = 8
+
+Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class BackendDown(Exception):
+    """A forwarded request found no live backend behind the address: a
+    fresh connection failed, or no reply came within the timeout."""
 
 
 def parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
@@ -131,6 +154,7 @@ class BackendPool:
         for address in addresses:
             self.add(address)
         self._probe_task: Optional[asyncio.Task] = None
+        self._idle: Dict[str, List[Connection]] = {}
 
     # -- membership ------------------------------------------------------------
     def add(self, address: Union[str, Tuple[str, int]]) -> BackendNode:
@@ -146,6 +170,7 @@ class BackendPool:
         node = self.nodes.pop(node_id, None)
         if node is None:
             raise ClusterError(f"unknown backend {node_id!r}")
+        self.drop_idle(node_id)
         return node
 
     def node(self, node_id: str) -> BackendNode:
@@ -194,6 +219,7 @@ class BackendPool:
             node.healthy = False
             node.n_downs += 1
             self._count_transition(node_id, "down")
+        self.drop_idle(node_id)
         # Schedule the next probe of this (now confirmed-dead) node on
         # the policy's backoff instead of the flat interval.
         if node.retry_state is None:
@@ -217,46 +243,121 @@ class BackendPool:
             node.retry_state = None
             node.next_probe_at = 0.0
 
-    # -- probing ---------------------------------------------------------------
-    async def connect(self, node: BackendNode):
+    # -- connections -----------------------------------------------------------
+    async def connect(self, node: BackendNode) -> Connection:
         """A fresh connection to *node* (caller owns its lifecycle)."""
         return await asyncio.open_connection(
             node.host, node.port, limit=MAX_LINE_BYTES
         )
 
+    def _count_connect(self, kind: str) -> None:
+        if self.obs is not None:
+            self.obs.counter(
+                "cluster_backend_connects_total",
+                help="Backend requests by the connection that carried them: "
+                     "fresh (just opened) or reused (borrowed from the "
+                     "node's idle pool).",
+                kind=kind,
+            ).inc()
+
+    def _pop_idle(self, node: BackendNode) -> Optional[Connection]:
+        idle = self._idle.get(node.node_id)
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()  # the backend hung up while it sat idle
+        return None
+
+    @staticmethod
+    async def _exchange(conn: Connection, line: bytes, timeout: float) -> bytes:
+        """Write *line*, read one reply line; the connection is closed
+        on any way out but a reply (cancellation included)."""
+        reader, writer = conn
+        try:
+            writer.write(line)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=timeout)
+            if not reply:
+                raise ConnectionError("backend closed the connection")
+            return reply
+        except BaseException:
+            writer.close()
+            raise
+
+    async def request(
+        self, node: BackendNode, msg: Dict[str, Any], timeout: float
+    ) -> Tuple[bytes, Connection]:
+        """Send *msg* to *node* and return its first reply line plus
+        the connection that carried it — the caller reads on (streams)
+        or not (calls), then hands the connection to :meth:`release`
+        once the wire is back in request/reply state, or closes it.
+
+        *timeout* bounds connecting and, separately, the wait for the
+        reply.  Raises :class:`BackendDown` — never for a failure on a
+        reused connection alone (see the module docstring), always for
+        a timeout: a restarted backend resets stale connections at
+        once, only a frozen one is silent.
+        """
+        line = encode_line(msg)
+        try:
+            conn = self._pop_idle(node)
+            if conn is not None:
+                self._count_connect("reused")
+                try:
+                    return await self._exchange(conn, line, timeout), conn
+                except asyncio.TimeoutError:
+                    raise
+                except (OSError, asyncio.IncompleteReadError):
+                    self.drop_idle(node.node_id)  # as old, as stale
+            conn = await asyncio.wait_for(self.connect(node), timeout=timeout)
+            self._count_connect("fresh")
+            return await self._exchange(conn, line, timeout), conn
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
+            raise BackendDown(
+                f"{node.node_id}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    def release(self, node: BackendNode, conn: Connection) -> None:
+        """Hand a clean connection back for reuse (closed instead when
+        the node went down or left meanwhile, or its pool is full)."""
+        if self.nodes.get(node.node_id) is node and node.healthy:
+            idle = self._idle.setdefault(node.node_id, [])
+            if len(idle) < MAX_IDLE_PER_NODE:
+                idle.append(conn)
+                return
+        conn[1].close()
+
+    def drop_idle(self, node_id: Optional[str] = None) -> None:
+        """Close the idle connections of one node, or of all."""
+        for nid in [node_id] if node_id is not None else list(self._idle):
+            for _reader, writer in self._idle.pop(nid, ()):
+                writer.close()
+
+    async def call(self, node: BackendNode, msg: Dict[str, Any],
+                   timeout: float) -> Dict[str, Any]:
+        """One request/reply round trip on a pooled connection."""
+        reply, conn = await self.request(node, msg, timeout)
+        self.release(node, conn)
+        return decode_line(reply)
+
+    # -- probing ---------------------------------------------------------------
     async def probe(self, node: BackendNode) -> bool:
         """One stats round-trip; updates the node's health in place."""
         node.n_probes += 1
         node.last_probe_at = time.monotonic()
         probe_started = time.monotonic()
-        writer = None
         try:
-            reader, writer = await asyncio.wait_for(
-                self.connect(node), timeout=self.probe_timeout
-            )
-            writer.write(encode_line({"op": "stats"}))
-            await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.probe_timeout
-            )
-            if not line:
-                raise ConnectionError("backend closed the probe connection")
-            reply = decode_line(line)
+            reply = await self.call(node, {"op": "stats"}, self.probe_timeout)
             if not reply.get("ok"):
                 raise ConnectionError(f"stats probe rejected: {reply}")
         except Exception as exc:  # noqa: BLE001 - any failure means down
             self.mark_down(node.node_id, f"probe: {type(exc).__name__}: {exc}")
             return False
-        else:
-            node.last_stats = reply
-            node.probe_rtt = time.monotonic() - probe_started
-            self.mark_up(node.node_id)
-            return True
-        finally:
-            if writer is not None:
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
+        node.last_stats = reply
+        node.probe_rtt = time.monotonic() - probe_started
+        self.mark_up(node.node_id)
+        return True
 
     async def probe_all(self, due_only: bool = False) -> int:
         """Probe every node concurrently; returns the healthy count.
@@ -294,7 +395,11 @@ class BackendPool:
 
     # -- introspection ---------------------------------------------------------
     def snapshot(self) -> List[Dict[str, Any]]:
-        return [node.snapshot() for node in self.nodes.values()]
+        return [
+            {**node.snapshot(),
+             "n_idle_connections": len(self._idle.get(node.node_id, ()))}
+            for node in self.nodes.values()
+        ]
 
     def cache_totals(self) -> Tuple[int, int]:
         """Cluster-wide ``(hits, misses)`` from the last probed stats.

@@ -65,7 +65,7 @@ from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.hashing import rendezvous_choose, rendezvous_ranking
 from repro.cluster.joblog import JobLog
-from repro.cluster.pool import BackendNode, BackendPool
+from repro.cluster.pool import BackendDown, BackendNode, BackendPool
 from repro.cluster.quota import QuotaPolicy
 from repro.cluster.resultindex import ResultIndex
 from repro.engine.schema import request_key
@@ -91,6 +91,7 @@ from repro.service.policy import RetryPolicy
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     TERMINAL_EVENTS,
+    SpecMemo,
     decode_line,
     encode_line,
     error_reply,
@@ -114,10 +115,6 @@ DEFAULT_JOB_RETENTION = 4096
 _EVENT_STATE = {"result": "done", "error": "failed", "cancelled": "cancelled"}
 
 
-class _BackendDown(Exception):
-    """A forwarded request hit a dead backend socket."""
-
-
 class _ClientGone(Exception):
     """The *client* side of a stream proxy dropped — not a backend
     fault: the proxy just ends, no failover, no health change."""
@@ -130,7 +127,7 @@ def routing_key(spec: Dict[str, Any]) -> str:
     itself, so routing stays deterministic even when caching cannot.
 
     O(pixels) for inline images; the router runs it on a parse thread,
-    exactly like the service does for admission.
+    once per distinct payload (:meth:`ShardRouter._routing_key`).
     """
     request = request_from_wire(spec)  # raises ServiceError on a bad spec
     key = request_key(request)
@@ -181,53 +178,6 @@ class RouterJob:
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed", "cancelled")
-
-
-class _BackendLink:
-    """One persistent request/reply connection to a backend, serialised
-    by a lock (streams use fresh connections instead — they hold the
-    wire for a whole job)."""
-
-    def __init__(self, pool: BackendPool, node: BackendNode, timeout: float) -> None:
-        self._pool = pool
-        self._node = node
-        self._timeout = timeout
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-
-    async def call(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        async with self._lock:
-            try:
-                if self._writer is None:
-                    self._reader, self._writer = await asyncio.wait_for(
-                        self._pool.connect(self._node), timeout=self._timeout
-                    )
-                self._writer.write(encode_line(msg))
-                await self._writer.drain()
-                line = await asyncio.wait_for(
-                    self._reader.readline(), timeout=self._timeout
-                )
-                if not line:
-                    raise ConnectionError("backend closed the connection")
-                return decode_line(line)
-            except (OSError, ConnectionError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError) as exc:
-                await self._teardown()
-                raise _BackendDown(
-                    f"{self._node.node_id}: {type(exc).__name__}: {exc}"
-                ) from exc
-
-    async def _teardown(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            with contextlib.suppress(Exception):
-                await self._writer.wait_closed()
-        self._reader = self._writer = None
-
-    async def close(self) -> None:
-        async with self._lock:
-            await self._teardown()
 
 
 class ShardRouter:
@@ -317,7 +267,7 @@ class ShardRouter:
         self.job_retention = max(1, job_retention)
         self.node_id = node_id or f"router-{uuid.uuid4().hex[:8]}"
         self._jobs: "OrderedDict[str, RouterJob]" = OrderedDict()
-        self._links: Dict[str, _BackendLink] = {}
+        self._spec_memo = SpecMemo(self.obs)
         self._connections: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -335,6 +285,15 @@ class ShardRouter:
         self.n_restored = 0
         self.n_mirrored = 0
         self.n_standby_promotions = 0
+        self._accepted = self.obs.counter(
+            "cluster_connections_accepted_total",
+            help="Client connections accepted since start.",
+        )
+        self.obs.gauge(
+            "cluster_connections_open",
+            help="Client connections currently open.",
+            fn=lambda: len(self._connections),
+        )
         self.obs.gauge(
             "cluster_backends_healthy",
             help="Backends currently eligible for new placement.",
@@ -415,9 +374,7 @@ class ShardRouter:
             writer.close()
         self._connections.clear()
         await asyncio.sleep(0)
-        for link in self._links.values():
-            await link.close()
-        self._links.clear()
+        self.pool.drop_idle()
         self._parse_pool.shutdown(wait=False, cancel_futures=True)
         if self.job_log is not None:
             self.job_log.close()
@@ -570,18 +527,26 @@ class ShardRouter:
         node = self.pool.nodes.get(node_id)
         if node is None:
             return
-        with contextlib.suppress(_BackendDown, ServiceError):
-            await self._link(node).call(
-                {"op": "cancel", "job_id": backend_job_id}
-            )
+        with contextlib.suppress(BackendDown, ServiceError):
+            await self._call(node, {"op": "cancel", "job_id": backend_job_id})
 
     # -- placement -------------------------------------------------------------
-    def _link(self, node: BackendNode) -> _BackendLink:
-        link = self._links.get(node.node_id)
-        if link is None:
-            link = _BackendLink(self.pool, node, self.backend_timeout)
-            self._links[node.node_id] = link
-        return link
+    def _call(self, node: BackendNode, msg: Dict[str, Any]):
+        """One request/reply with *node* over its pooled connections."""
+        return self.pool.call(node, msg, self.backend_timeout)
+
+    async def _routing_key(self, spec: Dict[str, Any]) -> str:
+        """:func:`routing_key` of *spec*, parsed once per distinct
+        payload: a byte-identical repeat is answered from the
+        fingerprint memo on the loop — no thread hop, no pixel decode.
+        A spec that fails to parse raises and is never remembered."""
+        fingerprint, key = self._spec_memo.lookup(spec)
+        if key is None:
+            key = await asyncio.get_running_loop().run_in_executor(
+                self._parse_pool, routing_key, spec
+            )
+            self._spec_memo.remember(fingerprint, key)
+        return key
 
     def choose_node(self, key: str, exclude: Optional[Set[str]] = None) -> str:
         node_id = rendezvous_choose(key, self.pool.healthy_ids(), exclude=exclude)
@@ -612,10 +577,8 @@ class ShardRouter:
             node_id = self.choose_node(job.key, exclude)
             node = self.pool.node(node_id)
             try:
-                reply = await self._link(node).call(
-                    self._submit_msg(job)
-                )
-            except _BackendDown as exc:
+                reply = await self._call(node, self._submit_msg(job))
+            except BackendDown as exc:
                 self.pool.mark_down(node_id, str(exc))
                 exclude.add(node_id)
                 self._note_failover()
@@ -691,8 +654,8 @@ class ShardRouter:
         node_id = candidates[0]
         node = self.pool.node(node_id)
         try:
-            reply = await self._link(node).call(self._submit_msg(job))
-        except _BackendDown as exc:
+            reply = await self._call(node, self._submit_msg(job))
+        except BackendDown as exc:
             self.pool.mark_down(node_id, str(exc))
             return
         if not reply.get("ok"):
@@ -793,16 +756,13 @@ class ShardRouter:
         if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
             deadline_at = time.monotonic() + max(0.0, float(deadline))
         wire_trace = msg.get("trace")
-        loop = asyncio.get_running_loop()
         # The routing span parents under the submitter's wire span (if
         # any) and its own id rides to the backend, so a cluster-wide
         # scrape shows client → router → backend as one span tree.
         with remote_parent(wire_trace if isinstance(wire_trace, str) else None):
             with trace("cluster.submit", registry=self.obs,
                        node=self.node_id) as span:
-                key = await loop.run_in_executor(
-                    self._parse_pool, routing_key, spec
-                )
+                key = await self._routing_key(spec)
                 job = RouterJob(
                     rid=_router_job_id(), spec=spec, key=key,
                     client=client, priority=priority,
@@ -871,10 +831,10 @@ class ShardRouter:
                     return self._pending_doc(job)
             node_id, bid = job.node_id, job.backend_job_id
             try:
-                reply = await self._link(self.pool.node(node_id)).call(
-                    {"op": "status", "job_id": bid}
+                reply = await self._call(
+                    self.pool.node(node_id), {"op": "status", "job_id": bid}
                 )
-            except _BackendDown as exc:
+            except BackendDown as exc:
                 self.pool.mark_down(node_id, str(exc))
                 self._note_failover()
                 if job.terminal:
@@ -921,10 +881,10 @@ class ShardRouter:
                             "cancelled": True}
                 node_id, bid = job.node_id, job.backend_job_id
             try:
-                reply = await self._link(self.pool.node(node_id)).call(
-                    {"op": "cancel", "job_id": bid}
+                reply = await self._call(
+                    self.pool.node(node_id), {"op": "cancel", "job_id": bid}
                 )
-            except _BackendDown as exc:
+            except BackendDown as exc:
                 self.pool.mark_down(node_id, str(exc))
                 self._note_failover()
                 async with job.lock:
@@ -958,8 +918,7 @@ class ShardRouter:
         spec = msg.get("job")
         if not isinstance(spec, dict):
             raise ServiceError("route needs a 'job' object")
-        loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(self._parse_pool, routing_key, spec)
+        key = await self._routing_key(spec)
         return {"ok": True, "key": key, "node": self.choose_node(key)}
 
     def stats(self) -> Dict[str, Any]:
@@ -979,6 +938,8 @@ class ShardRouter:
             "n_mirrored": self.n_mirrored,
             "n_standby_promotions": self.n_standby_promotions,
             "replication_factor": self.replication_factor,
+            "n_connections_accepted": int(self._accepted.value),
+            "n_connections_open": len(self._connections),
             "jobs": states,
             "backends": self.pool.snapshot(),
             "n_backends_healthy": len(self.pool.healthy_ids()),
@@ -1076,8 +1037,8 @@ class ShardRouter:
             if include_spans:
                 msg["spans"] = True
             try:
-                reply = await self._link(node).call(msg)
-            except _BackendDown:
+                reply = await self._call(node, msg)
+            except BackendDown:
                 return None
             if not reply.get("ok"):
                 return None
@@ -1153,9 +1114,9 @@ class ShardRouter:
         async def fetch(node: BackendNode):
             t0 = time.time()
             try:
-                reply = await self._link(node).call(
-                    {"op": "trace", "trace": trace_key})
-            except _BackendDown:
+                reply = await self._call(
+                    node, {"op": "trace", "trace": trace_key})
+            except BackendDown:
                 return None
             if not reply.get("ok"):
                 return None
@@ -1284,28 +1245,23 @@ class ShardRouter:
                 return
             node = self.pool.node(node_id)
             node.n_active_streams += 1
-            bwriter = None
+            conn = None
             try:
-                breader, bwriter = await asyncio.wait_for(
-                    self.pool.connect(node), timeout=self.backend_timeout
-                )
-                bwriter.write(encode_line({"op": "stream", "job_id": bid}))
-                await bwriter.drain()
                 # A SIGSTOP'd backend accepts the connection (kernel
                 # backlog) but never sends the ack — the stall guard
                 # must cover this first read, not just inter-event ones.
-                ack_line = await asyncio.wait_for(
-                    breader.readline(),
-                    timeout=(self.stream_timeout
-                             if self.stream_timeout is not None
-                             else self.backend_timeout),
+                ack_line, conn = await self.pool.request(
+                    node, {"op": "stream", "job_id": bid},
+                    self.backend_timeout if self.stream_timeout is None
+                    else self.stream_timeout,
                 )
-                if not ack_line:
-                    raise ConnectionError("EOF before stream ack")
+                breader = conn[0]
                 ack = decode_line(ack_line)
                 if not ack.get("ok"):
                     # Backend is alive but lost the job (restart):
                     # re-dispatch without excluding the node.
+                    self.pool.release(node, conn)
+                    conn = None
                     self._clear_assignment(job)
                     continue
                 if not ack_sent:
@@ -1327,14 +1283,19 @@ class ShardRouter:
                     if not line:
                         raise ConnectionError("EOF mid-stream")
                     event = decode_line(line)
-                    yield event
                     name = event.get("event")
+                    if name in TERMINAL_EVENTS:
+                        # The backend's connection loop is back in
+                        # request/reply mode: the wire is clean.
+                        self.pool.release(node, conn)
+                        conn = None
+                    yield event
                     if name in TERMINAL_EVENTS:
                         job.result_digest = self._digest_event(event)
                         self._complete(job, _EVENT_STATE[name])
                         note_stream_span()
                         return
-            except (OSError, ConnectionError, asyncio.TimeoutError,
+            except (BackendDown, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError) as exc:
                 self.pool.mark_down(
                     node_id, f"stream: {type(exc).__name__}: {exc}"
@@ -1345,10 +1306,8 @@ class ShardRouter:
                 continue
             finally:
                 node.n_active_streams -= 1
-                if bwriter is not None:
-                    bwriter.close()
-                    with contextlib.suppress(Exception):
-                        await bwriter.wait_closed()
+                if conn is not None:  # mid-stream: not reusable
+                    conn[1].close()
 
     async def _stream_job(self, rid: Any, writer: asyncio.StreamWriter) -> None:
         """``op: stream`` — :meth:`job_events` in JSON-lines framing."""
@@ -1377,6 +1336,7 @@ class ShardRouter:
         peername = writer.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else None
         self._connections.add(writer)
+        self._accepted.inc()
         try:
             while True:
                 try:

@@ -8,12 +8,23 @@ exception types the TCP client raises — a 429 is a
 :class:`QuotaExceededError`/:class:`QueueFullError` with the server's
 ``Retry-After``, a 404 on a job id is :class:`JobNotFoundError` — so
 calling code does not care which wire it used.
+
+Connections: request/response calls share one kept-alive connection per
+client (the gateway speaks HTTP/1.1 keep-alive), guarded by a lock so a
+client may be shared between threads; every SSE stream opens its own,
+since it holds the wire until the job ends.  The kept connection is
+re-opened when the gateway hung up while it sat idle, when a reply is
+lost on it mid-call (retried once, idempotent methods only — a lost
+``POST /v1/jobs`` may have been admitted), and in a forked child.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import selectors
+import threading
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import (
@@ -69,9 +80,8 @@ def parse_sse_stream(fp) -> Iterator[Tuple[Optional[str], str]]:
 
 
 class GatewayClient:
-    """One gateway, many requests (a fresh connection per call — the
-    gateway keeps per-request state server-side, so this client stays
-    trivially re-entrant and fork-safe)."""
+    """One gateway, many requests over one kept-alive connection (see
+    the module docstring); thread- and fork-safe."""
 
     def __init__(self, address: Union[str, Tuple[str, int]],
                  client_id: Optional[str] = None, timeout: float = 60.0,
@@ -85,12 +95,70 @@ class GatewayClient:
         #: Backoff shape for retried submits; ``Retry-After`` hints
         #: from 429s replace the computed delay verbatim.
         self.retry_policy = retry_policy or RetryPolicy()
+        self._lock = threading.Lock()
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._pid = os.getpid()
 
     # -- plumbing --------------------------------------------------------------
     def _connect(self, timeout: Optional[float] = None) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout if timeout is None else timeout
         )
+
+    def close(self) -> None:
+        """Close the kept connection (the next call opens a new one)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "GatewayClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    @staticmethod
+    def _hung_up(conn: http.client.HTTPConnection) -> bool:
+        """An idle keep-alive socket has nothing to say: readable means
+        the gateway closed it (EOF) while it sat in this client."""
+        if conn.sock is None:
+            return False  # http.client reconnects on its own
+        with selectors.DefaultSelector() as selector:
+            selector.register(conn.sock, selectors.EVENT_READ)
+            return bool(selector.select(0))
+
+    def _roundtrip(self, method: str, path: str, payload: Optional[bytes],
+                   headers: Dict[str, str]) -> Tuple[Any, bytes]:
+        """``(response, body)`` of one request on the kept connection."""
+        if self._pid != os.getpid():
+            # Forked: the parent owns the socket's conversation (and
+            # maybe, forever, the lock) — start over with our own.
+            self._lock = threading.Lock()
+            self._conn, self._pid = None, os.getpid()
+        with self._lock:
+            if self._conn is not None and self._hung_up(self._conn):
+                self._drop()
+            reused = self._conn is not None and self._conn.sock is not None
+            while True:
+                if self._conn is None:
+                    self._conn = self._connect()
+                try:
+                    self._conn.request(method, path, body=payload, headers=headers)
+                    response = self._conn.getresponse()
+                    return response, response.read()
+                except (OSError, http.client.HTTPException) as exc:
+                    self._drop()
+                    if reused and method != "POST":
+                        reused = False
+                        continue
+                    raise GatewayError(
+                        f"gateway {self.host}:{self.port} unreachable: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Accept": "application/json"}
@@ -103,27 +171,15 @@ class GatewayClient:
                 extra_headers: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
         """One request/response cycle; raises the mapped exception for
         error statuses (see module docstring)."""
-        conn = self._connect()
-        try:
-            payload = None
-            headers = self._headers()
-            if extra_headers:
-                headers.update(extra_headers)
-            if body is not None:
-                payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise GatewayError(
-                    f"gateway {self.host}:{self.port} unreachable: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            return self._decode(response, raw)
-        finally:
-            conn.close()
+        payload = None
+        headers = self._headers()
+        if extra_headers:
+            headers.update(extra_headers)
+        if body is not None:
+            payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        response, raw = self._roundtrip(method, path, payload, headers)
+        return self._decode(response, raw)
 
     @staticmethod
     def _decode(response, raw: bytes) -> Dict[str, Any]:
@@ -220,24 +276,12 @@ class GatewayClient:
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition (``request`` decodes JSON,
         so the scrape surface needs its own fetch)."""
-        conn = self._connect()
-        try:
-            try:
-                conn.request("GET", "/metrics", headers=self._headers())
-                response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise GatewayError(
-                    f"gateway {self.host}:{self.port} unreachable: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            if response.status != 200:
-                raise GatewayError(
-                    f"metrics scrape refused with HTTP {response.status}"
-                )
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        response, raw = self._roundtrip("GET", "/metrics", None, self._headers())
+        if response.status != 200:
+            raise GatewayError(
+                f"metrics scrape refused with HTTP {response.status}"
+            )
+        return raw.decode("utf-8")
 
     def stream_raw(self, job_id: str,
                    timeout: Optional[float] = None) -> Iterator[Tuple[Optional[str], str]]:

@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import GatewayError
+from repro.service.protocol import compact_json
 
 __all__ = [
     "HttpError",
@@ -265,7 +266,7 @@ def json_response(
     close: bool = False,
 ) -> bytes:
     """*doc* as a compact-JSON response (the TCP protocol's encoding)."""
-    body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    body = compact_json(doc).encode("utf-8")
     return response_bytes(
         status, body, extra_headers=extra_headers, close=close
     )
@@ -292,7 +293,7 @@ def sse_event_bytes(doc: Dict[str, Any], event: Optional[str] = None) -> bytes:
     (single line — JSON strings cannot contain raw newlines), so an SSE
     consumer sees byte-identical payloads to an ``op: stream`` consumer.
     """
-    data = json.dumps(doc, separators=(",", ":"))
+    data = compact_json(doc)
     frame = []
     if event:
         frame.append(f"event: {event}")

@@ -278,6 +278,15 @@ class Gateway:
         ).set_function(lambda: 1.0 if self.draining else 0.0)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        self._accepted = self.obs.counter(
+            "gateway_connections_accepted_total",
+            help="HTTP connections accepted since start (one per SSE "
+                 "stream, one per keep-alive client).",
+        )
+        self.obs.gauge(
+            "gateway_connections_open",
+            help="HTTP connections currently open.",
+        ).set_function(lambda: len(self._connections))
         self._started_target = False
         self._drained: Optional[asyncio.Event] = None
         self._drain_tasks: set = set()
@@ -332,6 +341,8 @@ class Gateway:
             "n_streams": self.n_streams,
             "n_active_streams": self._active_streams,
             "n_quota_rejections": self.n_quota_rejections,
+            "n_connections_accepted": int(self._accepted.value),
+            "n_connections_open": len(self._connections),
         }
 
     # -- observability ---------------------------------------------------------
@@ -401,6 +412,7 @@ class Gateway:
         peername = writer.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else None
         self._connections.add(writer)
+        self._accepted.inc()
         try:
             while True:
                 try:

@@ -55,8 +55,10 @@ and a cached one are byte-comparable.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
-from typing import Any, Dict, Optional
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -77,14 +79,19 @@ from repro.errors import (
     ServiceError,
 )
 from repro.imaging.image import Image
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "MAX_LINE_BYTES",
+    "SPEC_MEMO_CAPACITY",
     "TERMINAL_EVENTS",
+    "SpecMemo",
+    "compact_json",
     "encode_line",
     "decode_line",
     "error_reply",
     "request_from_wire",
+    "spec_fingerprint",
     "event_to_wire",
     "scene_job",
     "pgm_job",
@@ -99,8 +106,16 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 TERMINAL_EVENTS = frozenset({"result", "error", "cancelled"})
 
 
+#: The one compact encoding every wire surface shares (JSON lines, HTTP
+#: bodies, SSE ``data:`` payloads) — byte-identical to
+#: ``json.dumps(obj, separators=(",", ":"))``, which would build a new
+#: encoder on every call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_line(obj: Dict[str, Any]) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    return compact_json(obj).encode("utf-8") + b"\n"
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -241,6 +256,91 @@ def _encode_pixels(image: Image) -> Dict[str, Any]:
         "shape": [image.height, image.width],
         "data": base64.b64encode(np.ascontiguousarray(image.pixels).tobytes()).decode("ascii"),
     }
+
+
+# -- repeat specs: fingerprint → request key -----------------------------------
+
+#: Distinct payloads whose request key a server remembers (~100 B each).
+SPEC_MEMO_CAPACITY = 512
+
+
+def spec_fingerprint(spec: Any) -> Optional[str]:
+    """A digest of the spec *document*: sha256 over the canonical JSON
+    of every field but the inline pixel text, then that text itself.
+
+    Two specs share a fingerprint only when they are the same document
+    up to key order, so whatever a full parse derived from one (its
+    request key, that it is valid at all) holds for the other — at the
+    price of one hash instead of a base64 decode, an array build and an
+    image digest.  ``None`` means "not memoisable, parse it":
+    ``image_path`` specs (the bytes live on disk and may change under
+    the same path) and anything that is not a JSON-shaped object with
+    ASCII pixel text.
+    """
+    if not isinstance(spec, dict) or spec.get("image_path") is not None:
+        return None
+    pixels = spec.get("pixels")
+    data = ""
+    if pixels is not None:
+        if not isinstance(pixels, dict) or not isinstance(pixels.get("data"), str):
+            return None
+        data = pixels["data"]
+        spec = {**spec, "pixels": {k: v for k, v in pixels.items() if k != "data"}}
+    try:
+        digest = hashlib.sha256(_canonical_json(spec).encode("utf-8"))
+        digest.update(b"\n")
+        digest.update(data.encode("ascii"))
+    except (TypeError, ValueError):  # unserialisable field / non-ASCII pixels
+        return None
+    return digest.hexdigest()
+
+
+class SpecMemo:
+    """Bounded LRU from :func:`spec_fingerprint` to the key a full
+    parse of that spec produced in this process.
+
+    Keys only — never the decoded request or its pixels — so a memo
+    entry costs ~100 bytes however large the image was, and a hit still
+    leaves every per-submit check (quota, priority, deadline, cache
+    lookup) to its caller.  Not thread-safe: servers consult it on
+    their event loop.
+    """
+
+    def __init__(self, obs: MetricsRegistry) -> None:
+        self._keys: "OrderedDict[str, str]" = OrderedDict()
+        self._lookups = {
+            hit: obs.counter(
+                "spec_memo_lookups_total",
+                help="Submitted specs looked up in the fingerprint memo; "
+                     "a miss is followed by a full parse.",
+                result="hit" if hit else "miss",
+            )
+            for hit in (True, False)
+        }
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def lookup(self, spec: Any) -> Tuple[Optional[str], Optional[str]]:
+        """``(fingerprint, memoised key)`` of *spec*; the key is
+        ``None`` on first sight, the fingerprint too when the spec is
+        not memoisable."""
+        fingerprint = spec_fingerprint(spec)
+        key = self._keys.get(fingerprint) if fingerprint is not None else None
+        if key is not None:
+            self._keys.move_to_end(fingerprint)
+        self._lookups[key is not None].inc()
+        return fingerprint, key
+
+    def remember(self, fingerprint: Optional[str], key: Optional[str]) -> None:
+        """Record the key a successful full parse produced (no-op for
+        unmemoisable specs and uncacheable requests)."""
+        if fingerprint is None or key is None:
+            return
+        self._keys[fingerprint] = key
+        self._keys.move_to_end(fingerprint)
+        while len(self._keys) > SPEC_MEMO_CAPACITY:
+            self._keys.popitem(last=False)
 
 
 # -- job spec builders (client-side conveniences) ------------------------------

@@ -65,6 +65,7 @@ from repro.service.jobs import Job, JobState
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     TERMINAL_EVENTS,
+    SpecMemo,
     decode_line,
     encode_line,
     error_reply,
@@ -196,6 +197,16 @@ class DetectionService:
         self.obs = MetricsRegistry()
         self._stage_hist: "OrderedDict[str, Histogram]" = OrderedDict()
         self._stage_lock = threading.Lock()
+        self._spec_memo = SpecMemo(self.obs)
+        self._accepted = self.obs.counter(
+            "service_connections_accepted_total",
+            help="Client connections accepted since start.",
+        )
+        self.obs.gauge(
+            "service_connections_open",
+            help="Client connections currently open.",
+            fn=lambda: len(self._connections),
+        )
         self.obs.gauge(
             "service_queue_depth",
             help="Jobs admitted but not yet dispatched.",
@@ -232,7 +243,9 @@ class DetectionService:
             if hist is None:
                 hist = self.obs.histogram(
                     "service_stage_seconds",
-                    help="Pipeline stage durations (parse/queue_wait/run).",
+                    help="Pipeline stage durations (parse/queue_wait/run); "
+                         "parse times full parses only — a repeat spec "
+                         "answered from the fingerprint memo has none.",
                     stage=stage,
                 )
                 self._stage_hist[stage] = hist
@@ -277,14 +290,11 @@ class DetectionService:
         are completed as failed; jobs the queue cannot admit stay pending
         in the log for the next restart.
         """
-        loop = asyncio.get_running_loop()
         for pending in self.job_log.replay().pending.values():
             if pending.job_id in self._jobs:
                 continue
             try:
-                request, key = await loop.run_in_executor(
-                    self._parse_pool, self._parse_spec, pending.spec
-                )
+                request, key = await self._parse_on_thread(pending.spec)
             except ServiceError:
                 self.job_log.log_complete(pending.job_id, "failed")
                 continue
@@ -339,6 +349,12 @@ class DetectionService:
         self._record_stage("parse", time.monotonic() - parse_started)
         return request, key
 
+    def _parse_on_thread(self, spec: Dict[str, Any]):
+        """Awaitable :meth:`_parse_spec` on the parse thread."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._parse_pool, self._parse_spec, spec
+        )
+
     def _check_quota(self, client: Optional[str]) -> None:
         if self.quota is None:
             return
@@ -384,16 +400,34 @@ class DetectionService:
     async def _submit_async(
         self, msg: Dict[str, Any], peer: Optional[str] = None
     ) -> Dict[str, Any]:
+        """The protocol loop's submit: every check of :meth:`admit`,
+        but a spec this process already parsed is not parsed again
+        unless its result has left the cache.
+
+        The memo is only consulted when there is a cache for its key to
+        hit; the key it returns is one :meth:`_parse_spec` produced
+        here for a byte-identical spec, so a hit proves the spec valid
+        and is admitted born-done without a :class:`DetectionRequest`
+        ever being built.
+        """
         client = msg.get("client") or peer
         self._check_quota(client)
-        loop = asyncio.get_running_loop()
-        request, key = await loop.run_in_executor(
-            self._parse_pool, self._parse_spec, msg.get("job")
-        )
-        return self.admit(request, key, msg.get("priority", 0),
-                          spec=msg.get("job"), client=client,
-                          deadline=msg.get("deadline"),
-                          trace_id=msg.get("trace"))
+        spec = msg.get("job")
+        fingerprint = key = request = None
+        if self.cache is not None:
+            fingerprint, key = self._spec_memo.lookup(spec)
+        if key is None:
+            request, key = await self._parse_on_thread(spec)
+            self._spec_memo.remember(fingerprint, key)
+        job = self._new_job(request, key, msg.get("priority", 0),
+                            deadline=msg.get("deadline"),
+                            trace_id=msg.get("trace"))
+        hit = self._cache_lookup(key)
+        if hit is not None:
+            return self._admit_done(job, hit)
+        if request is None:  # memoised key, evicted result: parse after all
+            job.request, _ = await self._parse_on_thread(spec)
+        return self._enqueue(job, spec, client)
 
     def admit(
         self,
@@ -422,6 +456,26 @@ class DetectionService:
         that already gave up.  *trace_id* parents the run's engine
         spans under the submitter's span.
         """
+        job = self._new_job(request, key, priority, job_id=job_id,
+                            already_logged=already_logged,
+                            deadline=deadline, trace_id=trace_id)
+        hit = self._cache_lookup(key)
+        if hit is not None:
+            return self._admit_done(job, hit)
+        return self._enqueue(job, spec, client)
+
+    def _new_job(
+        self,
+        request,
+        key,
+        priority: int,
+        job_id: Optional[str] = None,
+        already_logged: bool = False,
+        deadline: Optional[float] = None,
+        trace_id: Optional[str] = None,
+    ) -> Job:
+        """Validate the per-submit fields and build the (unregistered)
+        job; see :meth:`admit` for what each one means."""
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ServiceError(f"priority must be an integer, got {priority!r}")
         job = Job(request=request, key=key, priority=priority)
@@ -432,29 +486,40 @@ class DetectionService:
             job.deadline_at = time.monotonic() + max(0.0, float(deadline))
         if isinstance(trace_id, str) and trace_id:
             job.trace_id = trace_id
+        return job
 
-        hit = self.cache.get(key) if (self.cache is not None and key) else None
-        if self.cache is not None and key:
-            self.obs.counter(
-                "service_cache_lookups_total",
-                help="Admission-time result-cache lookups, by outcome.",
-                result="hit" if hit is not None else "miss",
-            ).inc()
-        if self.cache is not None and key and hit is None:
+    def _cache_lookup(self, key: Optional[str]):
+        """The admission-time cache lookup, counted once per submit."""
+        if self.cache is None or not key:
+            return None
+        hit = self.cache.get(key)
+        self.obs.counter(
+            "service_cache_lookups_total",
+            help="Admission-time result-cache lookups, by outcome.",
+            result="hit" if hit is not None else "miss",
+        ).inc()
+        if hit is None:
             self.n_cache_misses += 1
-        if hit is not None:
-            self.n_cache_hits += 1
-            self.n_submitted += 1
-            self._count_submission("cache_hit")
-            job.cached = True
-            job.result = hit
-            job.started_at = time.monotonic()
-            self._finish(job, JobState.DONE,
-                         {"event": "result", "cached": True,
-                          "result": result_to_json(hit)})
-            self._register(job)
-            return {"ok": True, "job_id": job.id, "cached": True, "state": job.state.value}
+        return hit
 
+    def _admit_done(self, job: Job, hit) -> Dict[str, Any]:
+        """A cache hit completes the job at admission: no queue slot,
+        no worker, no request."""
+        self.n_cache_hits += 1
+        self.n_submitted += 1
+        self._count_submission("cache_hit")
+        job.cached = True
+        job.result = hit
+        job.started_at = time.monotonic()
+        self._finish(job, JobState.DONE,
+                     {"event": "result", "cached": True,
+                      "result": result_to_json(hit)})
+        self._register(job)
+        return {"ok": True, "job_id": job.id, "cached": True, "state": job.state.value}
+
+    def _enqueue(self, job: Job, spec: Optional[Dict[str, Any]],
+                 client: Optional[str]) -> Dict[str, Any]:
+        """A miss queues the job (and logs it for restart replay)."""
         try:
             self._queue.put(job)  # raises QueueFullError when at capacity
         except QueueFullError:
@@ -462,7 +527,7 @@ class DetectionService:
             raise
         if self.job_log is not None and spec is not None and not job.logged:
             self.job_log.log_submit(
-                job.id, spec, key=key, client=client, priority=priority
+                job.id, spec, key=job.key, client=client, priority=job.priority
             )
             job.logged = True
         self.n_submitted += 1
@@ -516,6 +581,8 @@ class DetectionService:
             ),
             "n_rejected": self._queue.n_rejected,
             "n_replayed": self.n_replayed,
+            "n_connections_accepted": int(self._accepted.value),
+            "n_connections_open": len(self._connections),
             "stage_latency": self._stage_latency_doc(),
             "cache": self.cache.summary() if self.cache is not None else None,
         }
@@ -722,6 +789,7 @@ class DetectionService:
         peername = writer.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else None
         self._connections.add(writer)
+        self._accepted.inc()
         try:
             while True:
                 try:

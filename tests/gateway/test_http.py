@@ -175,13 +175,18 @@ class TestSseFraming:
     def test_data_payload_matches_tcp_line(self):
         """The parity contract: the SSE data payload is byte-for-byte
         the TCP protocol's JSON line (minus its trailing newline)."""
-        doc = {"event": "partition", "index": 2,
+        doc = {"event": "partition", "index": 2, "cached": None,
+               "note": "caf\u00e9 \"quoted\"\n", "circles": [[1.0, 2.5e-9, 3]],
                "report": {"elapsed_seconds": 0.12345678901234567}}
         frame = sse_event_bytes(doc, event="partition")
         data = [ln for ln in frame.decode().split("\n") if ln.startswith("data: ")]
         assert len(data) == 1
         payload = data[0][len("data: "):]
         assert payload.encode() + b"\n" == encode_line(doc)
+        # ... and both are what json.dumps with compact separators emits
+        # (the shared encoder must not change a byte on the wire).
+        assert payload == json.dumps(doc, separators=(",", ":"))
+        assert json_response(200, doc).endswith(payload.encode())
 
     def test_round_trip_through_client_parser(self):
         docs = [{"ok": True, "job_id": "j1", "state": "queued"},
