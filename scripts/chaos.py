@@ -22,7 +22,7 @@ mode; the CI ``chaos-short`` job runs thread mode, so the process-only
 scenarios are local/nightly material.
 
 Exit codes: 0 clean, 1 on a failed gate, 2 on a harness error (no
-scenario produced evidence), 3 on a ``--baseline`` regression.
+scenario produced evidence).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro._version import __version__  # noqa: E402
-from repro.bench.reporting import BaselineMetric, run_baseline_gate  # noqa: E402
 from repro.cluster.local import LocalCluster  # noqa: E402
 from repro.errors import ServiceError  # noqa: E402
 from repro.service import ServiceClient, scene_job  # noqa: E402
@@ -508,16 +507,6 @@ def hard_gates(args, results, inv):
     return checks
 
 
-def baseline_metrics(document):
-    return [
-        BaselineMetric("chaos scenarios passed", ("totals", "scenarios_ok")),
-        BaselineMetric("chaos recovery p99 seconds",
-                       ("totals", "recovery_p99_seconds"),
-                       higher_is_better=False),
-        BaselineMetric("chaos jobs ok", ("totals", "jobs_ok")),
-    ]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=("thread", "process"),
@@ -541,9 +530,6 @@ def main(argv=None):
                         help="hard gate on the recovery-time p99")
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--out", default="BENCH_chaos.json")
-    parser.add_argument("--baseline", default=None,
-                        help="prior BENCH_chaos.json to gate against")
-    parser.add_argument("--regression-threshold", type=float, default=0.8)
     args = parser.parse_args(argv)
 
     names = (args.scenarios.split(",") if args.scenarios
@@ -621,10 +607,6 @@ def main(argv=None):
         failed = ", ".join(c["name"] for c in checks if not c["ok"])
         print(f"chaos: gates failed: {failed}", file=sys.stderr)
         return 1
-    if args.baseline:
-        return run_baseline_gate(document, args.baseline,
-                                 baseline_metrics(document),
-                                 args.regression_threshold)
     return 0
 
 

@@ -2,7 +2,7 @@
 """CI cluster guard: clustered results must match direct engine runs.
 
 Starts a 3-backend :class:`~repro.cluster.local.LocalCluster` (thread
-mode — determinism over throughput; BENCH_cluster.json covers speed)
+mode — determinism over throughput; ``ledger/run.py`` covers speed)
 and asserts the cluster layer's whole correctness contract:
 
 1. for all four strategies, a detection routed through the shard router

@@ -3,7 +3,7 @@
 
 Starts a 3-backend :class:`~repro.cluster.local.LocalCluster` with the
 HTTP gateway in front (thread mode — determinism over throughput;
-BENCH_gateway.json covers speed) and asserts the gateway's whole
+``ledger/run.py`` covers speed) and asserts the gateway's whole
 correctness contract:
 
 1. for all four strategies, a detection submitted over HTTP and

@@ -36,7 +36,8 @@ the honest number is ~0; a return to a connection per job reads 1.0.
 is reported next to it.
 
 Exit codes: 0 clean, 1 on drift, 2 on a harness error (no successful
-jobs at all), 3 on a ``--baseline`` regression.
+jobs at all).  Cross-commit speed is the ledger's job
+(``python3 ledger/run.py``); this script gates only within one run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro._version import __version__  # noqa: E402
-from repro.bench.reporting import BaselineMetric, run_baseline_gate  # noqa: E402
 from repro.cluster.local import LocalCluster  # noqa: E402
 from repro.errors import ServiceError  # noqa: E402
 from repro.service import ServiceClient, scene_job  # noqa: E402
@@ -456,15 +456,6 @@ def final_cluster_snapshot(cluster):
     }
 
 
-def baseline_metrics(document):
-    return [
-        BaselineMetric("soak jobs/s", ("totals", "jobs_per_second")),
-        BaselineMetric("soak p99 seconds", ("totals", "p99_seconds"),
-                       higher_is_better=False),
-        BaselineMetric("soak cache hit rate", ("totals", "cache_hit_rate")),
-    ]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=float, default=90.0,
@@ -498,9 +489,6 @@ def main(argv=None):
                         help="largest tolerated fractional it/s loss with "
                              "span collection enabled (default 10%%)")
     parser.add_argument("--out", default="BENCH_soak.json")
-    parser.add_argument("--baseline", default=None,
-                        help="prior BENCH_soak.json to gate against")
-    parser.add_argument("--regression-threshold", type=float, default=0.8)
     args = parser.parse_args(argv)
 
     overhead_doc = (tracing_overhead_probe(args)
@@ -623,10 +611,6 @@ def main(argv=None):
         failed = ", ".join(c["name"] for c in checks if not c["ok"])
         print(f"soak: drift detected in {failed}", file=sys.stderr)
         return 1
-    if args.baseline:
-        return run_baseline_gate(document, args.baseline,
-                                 baseline_metrics(document),
-                                 args.regression_threshold)
     return 0
 
 

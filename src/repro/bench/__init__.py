@@ -4,7 +4,7 @@ Each module in ``benchmarks/`` regenerates one table or figure of the
 paper; the shared machinery — the workload definitions matching the
 paper's experimental setups, host timing calibration, and the
 paper-vs-measured report formatting — lives here so benchmark files
-stay declarative.
+stay declarative.  Performance itself is measured by ``ledger/`` alone.
 """
 
 from repro.bench.workloads import (
@@ -14,27 +14,12 @@ from repro.bench.workloads import (
     small_nuclei_workload,
 )
 from repro.bench.calibration import CalibrationResult, calibrate_iteration_cost
-from repro.bench.core import (
-    move_class_throughput,
-    serial_chain_throughput,
-    strategy_throughput,
-)
-from repro.bench.cluster import (
-    affinity_hit_rate,
-    cluster_throughput,
-    failover_recovery,
-)
 from repro.bench.harness import (
     fig2_cycle_specs,
     simulate_fig2_point,
     simulate_architecture,
 )
-from repro.bench.reporting import (
-    BaselineMetric,
-    compare_to_baseline,
-    format_baseline_rows,
-    paper_vs_measured_table,
-)
+from repro.bench.reporting import paper_vs_measured_table
 
 __all__ = [
     "Workload",
@@ -43,17 +28,8 @@ __all__ = [
     "small_nuclei_workload",
     "CalibrationResult",
     "calibrate_iteration_cost",
-    "serial_chain_throughput",
-    "move_class_throughput",
-    "strategy_throughput",
     "fig2_cycle_specs",
     "simulate_fig2_point",
     "simulate_architecture",
     "paper_vs_measured_table",
-    "BaselineMetric",
-    "compare_to_baseline",
-    "format_baseline_rows",
-    "affinity_hit_rate",
-    "cluster_throughput",
-    "failover_recovery",
 ]

@@ -1,31 +1,16 @@
-"""Paper-vs-measured reporting and benchmark-trajectory regression gates.
+"""Paper-vs-measured reporting.
 
 Every benchmark prints its headline numbers next to the paper's, with
-the deviation, in a uniform format that EXPERIMENTS.md archives.
-
-The artifact scripts (``scripts/bench_core.py`` / ``bench_service.py`` /
-``bench_cluster.py``) additionally accept ``--baseline PATH`` — a prior
-run's JSON document — and gate the current run against it with
-:func:`compare_to_baseline`: any tracked metric regressing past the
-threshold exits non-zero, which is how the ROADMAP's "set regression
-bounds once the artifact series accumulates" lands without hard-coding
-host-dependent absolute numbers into CI.
+the deviation, in a uniform format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.utils.tables import Table
 
-__all__ = [
-    "paper_vs_measured_table",
-    "BaselineMetric",
-    "compare_to_baseline",
-    "format_baseline_rows",
-    "run_baseline_gate",
-]
+__all__ = ["paper_vs_measured_table"]
 
 
 def paper_vs_measured_table(
@@ -46,153 +31,3 @@ def paper_vs_measured_table(
             deviation = (measured - paper) / abs(paper)
         t.add_row([label, paper, measured, deviation])
     return t.render()
-
-
-# -- baseline regression gating ------------------------------------------------
-
-@dataclass(frozen=True)
-class BaselineMetric:
-    """One number tracked across artifact runs.
-
-    ``path`` addresses into the JSON document (nested keys); a missing
-    key in either document skips the metric (artifacts evolve —
-    comparing across schema growth must not explode).  For
-    ``higher_is_better`` metrics a regression is ``current <
-    threshold * baseline``; for lower-is-better (runtimes) it is
-    ``current > baseline / threshold`` — the same relative allowance
-    either way.
-    """
-
-    label: str
-    path: Tuple[str, ...]
-    higher_is_better: bool = True
-
-
-def _lookup(document: Dict[str, Any], path: Sequence[str]) -> Optional[float]:
-    node: Any = document
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return None  # bools are ints to isinstance, never metric values
-    return float(node)
-
-
-def compare_to_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    metrics: Sequence[BaselineMetric],
-    threshold: float = 0.8,
-) -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Compare two artifact documents metric by metric.
-
-    Returns ``(rows, regressions)``: one row per resolvable metric with
-    its baseline/current values and ratio (oriented so >= 1.0 is good),
-    and the labels of metrics that regressed past *threshold* (e.g.
-    0.8 = tolerate a 20% slowdown; benchmarks on shared CI runners need
-    slack or the gate cries wolf).
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rows: List[Dict[str, Any]] = []
-    regressions: List[str] = []
-    for metric in metrics:
-        base = _lookup(baseline, metric.path)
-        cur = _lookup(current, metric.path)
-        if cur is not None and (base is None or base <= 0):
-            # A series the current run tracks but the baseline predates
-            # (artifacts grow metrics over time): visible, never gated —
-            # silently dropping it would read as "compared and passed".
-            rows.append({
-                "label": metric.label,
-                "baseline": None,
-                "current": cur,
-                "ratio": None,
-                "regressed": False,
-                "new": True,
-            })
-            continue
-        if cur is None and base is not None:
-            # The mirror case: the baseline tracked this series but the
-            # current run lost it (a renamed key, a silently-skipped
-            # scenario).  Disappearing data must be visible — it is
-            # often the first symptom of a broken harness — but it is
-            # not a numeric regression, so it never gates.
-            rows.append({
-                "label": metric.label,
-                "baseline": base,
-                "current": None,
-                "ratio": None,
-                "regressed": False,
-                "missing": True,
-            })
-            continue
-        if base is None or cur is None:
-            continue  # in neither document — not comparable
-        # A current value collapsing to zero is the worst regression a
-        # higher-is-better metric can have, never a skip; a zero runtime
-        # can only be an improvement for lower-is-better ones.
-        if metric.higher_is_better:
-            ratio = max(0.0, cur / base)
-        else:
-            ratio = float("inf") if cur <= 0 else base / cur
-        regressed = ratio < threshold
-        rows.append({
-            "label": metric.label,
-            "baseline": base,
-            "current": cur,
-            "ratio": ratio,
-            "regressed": regressed,
-        })
-        if regressed:
-            regressions.append(metric.label)
-    return rows, regressions
-
-
-def format_baseline_rows(rows: Sequence[Dict[str, Any]], threshold: float) -> str:
-    """The comparison table the artifact scripts print."""
-    t = Table(
-        f"Baseline comparison (regression below {threshold:.0%})",
-        ["metric", "baseline", "current", "ratio", "verdict"],
-        precision=3,
-    )
-    for row in rows:
-        if row.get("new"):
-            verdict = "new (no baseline)"
-        elif row.get("missing"):
-            verdict = "missing vs baseline"
-        elif row["regressed"]:
-            verdict = "REGRESSED"
-        else:
-            verdict = "ok"
-        t.add_row([
-            row["label"], row["baseline"], row["current"], row["ratio"],
-            verdict,
-        ])
-    return t.render()
-
-
-def run_baseline_gate(
-    document: Dict[str, Any],
-    baseline_path: str,
-    metrics: Sequence[BaselineMetric],
-    threshold: float,
-) -> int:
-    """The whole ``--baseline`` gate the artifact scripts share: load
-    the prior document, compare, print the table, and return the exit
-    code (0 clean, 3 on any regression)."""
-    import json
-    import sys
-    from pathlib import Path
-
-    baseline = json.loads(Path(baseline_path).read_text())
-    rows, regressions = compare_to_baseline(
-        document, baseline, metrics, threshold=threshold
-    )
-    print(format_baseline_rows(rows, threshold))
-    if regressions:
-        print(f"REGRESSION vs {baseline_path}: {', '.join(regressions)}",
-              file=sys.stderr)
-        return 3
-    return 0

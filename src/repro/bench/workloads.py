@@ -18,6 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.engine import (
+    PAPER_MOVE_WEIGHTS,
+    DetectionBatch,
+    DetectionRequest,
+    request_for_image,
+    spawn_seeds,
+)
 from repro.errors import ConfigurationError
 from repro.imaging.density import estimate_count
 from repro.imaging.filters import threshold_filter
@@ -28,7 +35,7 @@ from repro.imaging.synthetic import (
     generate_bead_scene,
     generate_scene,
 )
-from repro.mcmc.spec import ModelSpec, MoveConfig, MoveType
+from repro.mcmc.spec import ModelSpec, MoveConfig
 from repro.utils.rng import SeedLike
 
 __all__ = [
@@ -39,20 +46,7 @@ __all__ = [
     "synthetic_workload",
     "workload_batch",
     "image_batch",
-    "request_for_image",
 ]
-
-#: Move weights realising the paper's §VII setup: qg = 0.4 with the five
-#: global move types, 60 % of proposals local.
-PAPER_MOVE_WEIGHTS = {
-    MoveType.BIRTH: 0.10,
-    MoveType.DEATH: 0.10,
-    MoveType.SPLIT: 0.06,
-    MoveType.MERGE: 0.06,
-    MoveType.REPLACE: 0.08,
-    MoveType.TRANSLATE: 0.30,
-    MoveType.RESIZE: 0.30,
-}
 
 
 @dataclass
@@ -89,8 +83,6 @@ class Workload:
         image (the §VII setup).  Extra ``options`` override/extend the
         defaults.
         """
-        from repro.engine import DetectionRequest
-
         opts = dict(options or {})
         if strategy in ("blind", "intelligent"):
             opts.setdefault("theta", self.threshold)
@@ -241,61 +233,6 @@ def synthetic_workload(
     )
 
 
-# -- single-image bridge ------------------------------------------------------
-
-def request_for_image(
-    image: Image,
-    strategy: str,
-    iterations: int,
-    threshold: float = 0.4,
-    radius_mean: float = 8.0,
-    executor="serial",
-    n_workers: Optional[int] = None,
-    seed: SeedLike = None,
-    record_every: int = 50,
-    options: Optional[dict] = None,
-):
-    """A :class:`~repro.engine.schema.DetectionRequest` for one raw
-    :class:`~repro.imaging.image.Image` — e.g. a PGM read from disk.
-
-    The model spec is derived from the image itself: expected count from
-    its thresholded foreground (the §VIII prior-allocation step),
-    dimensions from the image.  Strategies that pre-filter get
-    *threshold* as their ``theta``; the periodic strategy receives the
-    already-filtered image — the same semantics as
-    :meth:`Workload.request`.  This is the one definition
-    ``repro detect --image``, ``--batch`` (:func:`image_batch`), and the
-    detection service's PGM/pixel job specs share.
-    """
-    from repro.engine import DetectionRequest
-
-    filtered = threshold_filter(image, threshold)
-    est = max(estimate_count(filtered, 0.5, radius_mean), 1.0)
-    model = ModelSpec(
-        width=image.width,
-        height=image.height,
-        expected_count=est,
-        radius_mean=radius_mean,
-        radius_min=max(1.0, radius_mean / 4.0),
-        radius_max=radius_mean * 2.0,
-    )
-    opts = dict(options or {})
-    if strategy in ("blind", "intelligent"):
-        opts.setdefault("theta", threshold)
-    return DetectionRequest(
-        image=filtered if strategy == "periodic" else image,
-        spec=model,
-        move_config=MoveConfig(weights=dict(PAPER_MOVE_WEIGHTS)),
-        iterations=iterations,
-        strategy=strategy,
-        executor=executor,
-        n_workers=n_workers,
-        seed=seed,
-        record_every=record_every,
-        options=opts,
-    )
-
-
 # -- batch bridges ------------------------------------------------------------
 
 def workload_batch(
@@ -317,8 +254,6 @@ def workload_batch(
     request is individually reproducible, cacheable, and bit-identical
     to the same request run outside the batch.
     """
-    from repro.engine import DetectionBatch, spawn_seeds
-
     workloads = list(workloads)
     children = spawn_seeds(seed, len(workloads))
     return DetectionBatch(requests=[
@@ -357,8 +292,6 @@ def image_batch(
     the periodic strategy receives the already-filtered image, matching
     :meth:`Workload.request` semantics.
     """
-    from repro.engine import DetectionBatch, spawn_seeds
-
     images = list(images)
     children = spawn_seeds(seed, len(images))
     return DetectionBatch(requests=[

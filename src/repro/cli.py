@@ -293,8 +293,7 @@ def _run_detect_batch(args) -> int:
 
 def _run_detect_image(args) -> int:
     """``repro detect --image PATH.pgm``: one disk image, local run."""
-    from repro.bench.workloads import request_for_image
-    from repro.engine import DetectionBatch, run, run_batch
+    from repro.engine import DetectionBatch, request_for_image, run, run_batch
     from repro.imaging.pgm import read_pgm
 
     image = read_pgm(args.image)

@@ -12,9 +12,9 @@ backend modes, one API:
 
 ``mode="process"``
     Backends are ``python -m repro serve`` subprocesses, each with its
-    own interpreter, cores, and on-disk cache directory.  This is what
-    the 1-vs-N throughput bench runs, and ``kill_backend`` is a real
-    SIGKILL — the router sees exactly what a crashed host looks like.
+    own interpreter, cores, and on-disk cache directory.  Here
+    ``kill_backend`` is a real SIGKILL — the router sees exactly what a
+    crashed host looks like (``scripts/chaos.py --mode process``).
 
 Either way the router runs in-process (it is IO-bound), with a durable
 :class:`~repro.cluster.joblog.JobLog` by default so
@@ -108,7 +108,7 @@ class _ProcessBackend:
             pass
 
     def kill(self) -> None:
-        """SIGKILL — the hard host-death the failover bench measures."""
+        """SIGKILL — the hard host-death the chaos scenarios inject."""
         if self.alive:
             self.alive = False
             self.proc.kill()

@@ -102,6 +102,7 @@ from repro.engine.registry import (
 )
 from repro.engine.schema import (
     EXECUTOR_CHOICES,
+    PAPER_MOVE_WEIGHTS,
     BatchItemResult,
     BatchResult,
     DetectionBatch,
@@ -115,6 +116,7 @@ from repro.engine.schema import (
     TilePlan,
     TilePlannedEvent,
     image_digest,
+    request_for_image,
     request_key,
     snapshot_seed,
     spawn_seeds,
@@ -162,6 +164,8 @@ __all__ = [
     "run_stream",
     "run_batch",
     "request_key",
+    "request_for_image",
+    "PAPER_MOVE_WEIGHTS",
     "image_digest",
     "snapshot_seed",
     "spawn_seeds",

@@ -27,14 +27,18 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
+from repro.imaging.density import estimate_count
+from repro.imaging.filters import threshold_filter
 from repro.imaging.image import Image
-from repro.mcmc.spec import ModelSpec, MoveConfig
+from repro.mcmc.spec import ModelSpec, MoveConfig, MoveType
 from repro.parallel.executor import Executor
 from repro.utils.rng import SeedLike
 
 __all__ = [
     "EXECUTOR_CHOICES",
     "DetectionRequest",
+    "PAPER_MOVE_WEIGHTS",
+    "request_for_image",
     "DetectionResult",
     "DetectionBatch",
     "BatchItemResult",
@@ -128,6 +132,71 @@ class DetectionRequest:
 
     def option(self, key: str, default: Any = None) -> Any:
         return self.options.get(key, default)
+
+
+#: Move weights realising the paper's §VII setup: qg = 0.4 with the five
+#: global move types, 60 % of proposals local.
+PAPER_MOVE_WEIGHTS = {
+    MoveType.BIRTH: 0.10,
+    MoveType.DEATH: 0.10,
+    MoveType.SPLIT: 0.06,
+    MoveType.MERGE: 0.06,
+    MoveType.REPLACE: 0.08,
+    MoveType.TRANSLATE: 0.30,
+    MoveType.RESIZE: 0.30,
+}
+
+
+def request_for_image(
+    image: Image,
+    strategy: str,
+    iterations: int,
+    threshold: float = 0.4,
+    radius_mean: float = 8.0,
+    executor="serial",
+    n_workers: Optional[int] = None,
+    seed: SeedLike = None,
+    record_every: int = 50,
+    options: Optional[dict] = None,
+) -> DetectionRequest:
+    """A :class:`DetectionRequest` for one raw
+    :class:`~repro.imaging.image.Image` — e.g. a PGM read from disk.
+
+    The model spec is derived from the image itself: expected count from
+    its thresholded foreground (the §VIII prior-allocation step),
+    dimensions from the image.  Strategies that pre-filter get
+    *threshold* as their ``theta``; the periodic strategy receives the
+    already-filtered image — the same semantics as
+    :meth:`repro.bench.workloads.Workload.request`.  This is the one
+    definition ``repro detect --image``, ``--batch``
+    (:func:`repro.bench.workloads.image_batch`), and the detection
+    service's PGM/pixel job specs share.
+    """
+    filtered = threshold_filter(image, threshold)
+    est = max(estimate_count(filtered, 0.5, radius_mean), 1.0)
+    model = ModelSpec(
+        width=image.width,
+        height=image.height,
+        expected_count=est,
+        radius_mean=radius_mean,
+        radius_min=max(1.0, radius_mean / 4.0),
+        radius_max=radius_mean * 2.0,
+    )
+    opts = dict(options or {})
+    if strategy in ("blind", "intelligent"):
+        opts.setdefault("theta", threshold)
+    return DetectionRequest(
+        image=filtered if strategy == "periodic" else image,
+        spec=model,
+        move_config=MoveConfig(weights=dict(PAPER_MOVE_WEIGHTS)),
+        iterations=iterations,
+        strategy=strategy,
+        executor=executor,
+        n_workers=n_workers,
+        seed=seed,
+        record_every=record_every,
+        options=opts,
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ __all__ = [
     "PartitioningError",
     "ExecutorError",
     "CalibrationError",
-    "BenchmarkError",
     "EngineError",
     "UnknownStrategyError",
     "ServiceError",
@@ -61,11 +60,6 @@ class ExecutorError(ReproError):
 
 class CalibrationError(ReproError):
     """Benchmark calibration could not produce usable timings."""
-
-
-class BenchmarkError(ReproError):
-    """A benchmark's built-in correctness gate failed (e.g. the
-    BENCH_core parity asserts between the trial and legacy kernels)."""
 
 
 class EngineError(ReproError):

@@ -68,7 +68,6 @@ from repro.mcmc.speculative import (
 )
 from repro.mcmc.mc3 import MetropolisCoupledChains
 from repro.mcmc.samples import SampleCollector, PosteriorSummary
-from repro.mcmc.adaptation import AdaptationResult, adapt_local_steps
 
 __all__ = [
     "ModelSpec",
@@ -116,6 +115,4 @@ __all__ = [
     "MetropolisCoupledChains",
     "SampleCollector",
     "PosteriorSummary",
-    "AdaptationResult",
-    "adapt_local_steps",
 ]

@@ -26,8 +26,8 @@ typical 20–40 % acceptance rates — costs one rasterisation per disc
 instead of the legacy apply-then-unapply two.  The chain law and every
 produced float are bit-identical to the legacy protocol, which remains
 available (``legacy_kernel()`` / :func:`set_trial_kernel`) as the
-parity-gate reference and benchmark baseline — see
-``scripts/bench_core.py``.
+parity-gate reference; ``scripts/profile_kernel.py`` profiles this
+hot path.
 """
 
 from __future__ import annotations

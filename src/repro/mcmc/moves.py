@@ -889,29 +889,6 @@ class MoveGenerator:
             return self._gen_translate(post, stream)
         return self._gen_resize(post, stream)
 
-    def generate_of_type(
-        self, move_type: MoveType, post: PosteriorState, stream: RngStream
-    ) -> Move:
-        """Generate one proposal of a *specific* move class (skipping the
-        type draw) — the per-move-class benchmark/diagnostic entry point.
-        Proposal parameters are drawn exactly as :meth:`generate` would
-        after selecting *move_type*."""
-        if move_type is MoveType.BIRTH:
-            return self._gen_birth(post, stream)
-        if move_type is MoveType.DEATH:
-            return self._gen_death(post, stream)
-        if move_type is MoveType.SPLIT:
-            return self._gen_split(post, stream)
-        if move_type is MoveType.MERGE:
-            return self._gen_merge(post, stream)
-        if move_type is MoveType.REPLACE:
-            return self._gen_replace(post, stream)
-        if move_type is MoveType.TRANSLATE:
-            return self._gen_translate(post, stream)
-        if move_type is MoveType.RESIZE:
-            return self._gen_resize(post, stream)
-        raise ConfigurationError(f"unknown move type {move_type!r}")
-
     def _gen_birth(self, post: PosteriorState, stream: RngStream) -> Move:
         b = post.bounds
         x = stream.uniform(b.x0, b.x1)

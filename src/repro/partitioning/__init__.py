@@ -12,7 +12,6 @@ from repro.partitioning.grid import (
 )
 from repro.partitioning.classify import PartitionPlan, PartitionContext, classify_features
 from repro.partitioning.allocation import allocate_iterations
-from repro.partitioning.adaptive import adaptive_partitioner, choose_grid_spacing
 from repro.partitioning.intelligent import segment_image, SegmentationResult
 from repro.partitioning.blind import BlindPartition, blind_partitions
 from repro.partitioning.merge import (
@@ -30,8 +29,6 @@ __all__ = [
     "PartitionContext",
     "classify_features",
     "allocate_iterations",
-    "adaptive_partitioner",
-    "choose_grid_spacing",
     "segment_image",
     "SegmentationResult",
     "BlindPartition",

@@ -70,6 +70,7 @@ from repro.engine.schema import (
     PartitionResultEvent,
     ResultEvent,
     TilePlannedEvent,
+    request_for_image,
 )
 from repro.errors import (
     DeadlineExceededError,
@@ -217,8 +218,6 @@ def request_from_wire(spec: Dict[str, Any]) -> DetectionRequest:
             image = read_pgm(spec["image_path"])
         else:  # pixels
             image = _decode_pixels(spec["pixels"])
-        from repro.bench.workloads import request_for_image
-
         return request_for_image(
             image,
             strategy,

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bench.reporting import (
-    BaselineMetric,
-    compare_to_baseline,
-    format_baseline_rows,
-    paper_vs_measured_table,
-)
+from repro.bench.reporting import paper_vs_measured_table
 
 pytestmark = pytest.mark.fast
 
@@ -25,140 +20,3 @@ class TestPaperVsMeasured:
     def test_zero_paper_value_no_deviation(self):
         out = paper_vs_measured_table("T", [("x", 0.0, 1.0)])
         assert "–" in out
-
-
-class TestCompareToBaseline:
-    METRICS = [
-        BaselineMetric("it/s", ("serial", "iters_per_second")),
-        BaselineMetric("runtime", ("strategy", "seconds"),
-                       higher_is_better=False),
-    ]
-
-    def test_within_threshold_passes(self):
-        baseline = {"serial": {"iters_per_second": 1000.0},
-                    "strategy": {"seconds": 2.0}}
-        current = {"serial": {"iters_per_second": 900.0},
-                   "strategy": {"seconds": 2.2}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-        assert len(rows) == 2
-        assert rows[0]["ratio"] == pytest.approx(0.9)
-
-    def test_throughput_regression_flagged(self):
-        baseline = {"serial": {"iters_per_second": 1000.0}}
-        current = {"serial": {"iters_per_second": 700.0}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == ["it/s"]
-        assert rows[0]["regressed"]
-
-    def test_runtime_regression_uses_inverted_ratio(self):
-        baseline = {"strategy": {"seconds": 2.0}}
-        current = {"strategy": {"seconds": 3.0}}  # 50% slower
-        _, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == ["runtime"]
-
-    def test_improvements_never_regress(self):
-        baseline = {"serial": {"iters_per_second": 1000.0},
-                    "strategy": {"seconds": 2.0}}
-        current = {"serial": {"iters_per_second": 2000.0},
-                   "strategy": {"seconds": 1.0}}
-        _, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-
-    def test_metric_collapsing_to_zero_is_a_regression(self):
-        # hit_rate 0.9 -> 0.0 must fail the gate, not vanish from it.
-        baseline = {"serial": {"iters_per_second": 0.9}}
-        current = {"serial": {"iters_per_second": 0.0}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == ["it/s"]
-        assert rows[0]["ratio"] == 0.0
-
-    def test_zero_runtime_is_an_improvement_not_a_skip(self):
-        baseline = {"strategy": {"seconds": 2.0}}
-        current = {"strategy": {"seconds": 0.0}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-        assert rows[0]["ratio"] == float("inf")
-
-    def test_missing_metrics_skipped_not_fatal(self):
-        rows, regressions = compare_to_baseline(
-            {"serial": {}}, {"other": 1}, self.METRICS, threshold=0.8
-        )
-        assert rows == [] and regressions == []
-
-    def test_series_new_in_current_reported_not_gated(self):
-        # A metric the baseline predates (artifact schema growth) must
-        # show up as a "new" row and never count as a regression.
-        baseline = {"strategy": {"seconds": 2.0}}
-        current = {"serial": {"iters_per_second": 900.0},
-                   "strategy": {"seconds": 2.1}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-        new_rows = [r for r in rows if r.get("new")]
-        assert [r["label"] for r in new_rows] == ["it/s"]
-        assert new_rows[0]["baseline"] is None
-        assert new_rows[0]["current"] == pytest.approx(900.0)
-        assert not new_rows[0]["regressed"]
-        out = format_baseline_rows(rows, 0.8)
-        assert "new (no baseline)" in out
-
-    def test_series_missing_from_current_reported_not_gated(self):
-        # The mirror of "new": a series the baseline tracked but the
-        # current run lost (renamed key, skipped scenario).  Must be
-        # visible as a "missing" row, never a numeric regression.
-        baseline = {"serial": {"iters_per_second": 900.0},
-                    "strategy": {"seconds": 2.0}}
-        current = {"strategy": {"seconds": 2.1}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-        missing = [r for r in rows if r.get("missing")]
-        assert [r["label"] for r in missing] == ["it/s"]
-        assert missing[0]["baseline"] == pytest.approx(900.0)
-        assert missing[0]["current"] is None
-        assert missing[0]["ratio"] is None
-        assert not missing[0]["regressed"]
-        out = format_baseline_rows(rows, 0.8)
-        assert "missing vs baseline" in out
-
-    def test_null_or_bool_baseline_values_count_as_absent(self):
-        # JSON null and true/false are not numbers; a baseline carrying
-        # them behaves exactly like one missing the key.
-        baseline = {"serial": {"iters_per_second": None},
-                    "strategy": {"seconds": True}}
-        current = {"serial": {"iters_per_second": 900.0},
-                   "strategy": {"seconds": 2.0}}
-        rows, regressions = compare_to_baseline(
-            current, baseline, self.METRICS, threshold=0.8
-        )
-        assert regressions == []
-        assert all(r.get("new") for r in rows)
-        assert {r["label"] for r in rows} == {"it/s", "runtime"}
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            compare_to_baseline({}, {}, self.METRICS, threshold=0.0)
-
-    def test_format_marks_regressions(self):
-        rows, _ = compare_to_baseline(
-            {"serial": {"iters_per_second": 500.0}},
-            {"serial": {"iters_per_second": 1000.0}},
-            self.METRICS, threshold=0.8,
-        )
-        out = format_baseline_rows(rows, 0.8)
-        assert "REGRESSED" in out

@@ -312,7 +312,7 @@ class TestChainParity:
         assert np.array_equal(mp.post.coverage.counts, classic.post.coverage.counts)
         mp.post.verify_consistency()
 
-    @pytest.mark.parametrize("width", [2, 4, 8])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
     def test_batched_equals_sequential_reference(
         self, width, small_filtered, small_spec, move_config
     ):

@@ -32,8 +32,7 @@ class TestDetectImage:
         assert len(doc["circles"]) == doc["n_found"]
 
     def test_detect_image_matches_library_path(self, pgm_scene, capsys):
-        from repro.bench.workloads import request_for_image
-        from repro.engine import run
+        from repro.engine import request_for_image, run
         from repro.imaging.pgm import read_pgm
 
         rc = main(["detect", "--image", str(pgm_scene),
