@@ -31,9 +31,10 @@ The pieces:
   status across router restarts;
 * :mod:`~repro.cluster.quota` — per-client token buckets rejecting with
   the retry-after backpressure shape;
-* :mod:`~repro.cluster.router` — the shard router itself: routing,
-  failover with excluded-node rehashing, stream proxying that survives
-  backend death, restart replay;
+* :mod:`~repro.cluster.router` — the shard router itself, a
+  :class:`~repro.service.jobserver.JobServer` like each backend:
+  routing, failover with excluded-node rehashing, stream proxying that
+  survives backend death, restart replay;
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, the in-process /
   subprocess harness the tests, smoke gate, and benchmarks drive.
 

@@ -59,7 +59,6 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
@@ -72,13 +71,12 @@ from repro.engine.schema import request_key
 from repro.errors import (
     ClusterError,
     DeadlineExceededError,
-    JobNotFoundError,
     ServiceError,
 )
 from repro.obs import (
-    MetricsRegistry,
     get_collector,
     get_registry,
+    label_spans,
     mark_trace,
     merge_families,
     recent_spans,
@@ -87,17 +85,19 @@ from repro.obs import (
     render_json,
     trace,
 )
+from repro.service.jobserver import (
+    JobServer,
+    LoopHandle,
+    run_background_loop,
+    run_forever,
+    store_stats,
+)
 from repro.service.policy import RetryPolicy
 from repro.service.protocol import (
-    MAX_LINE_BYTES,
     TERMINAL_EVENTS,
-    SpecMemo,
     decode_line,
-    encode_line,
-    error_reply,
     request_from_wire,
 )
-from repro.service.server import LoopHandle, run_background_loop
 
 __all__ = [
     "RouterJob",
@@ -113,11 +113,6 @@ DEFAULT_JOB_RETENTION = 4096
 
 #: Wire event name → job-log completion state.
 _EVENT_STATE = {"result": "done", "error": "failed", "cancelled": "cancelled"}
-
-
-class _ClientGone(Exception):
-    """The *client* side of a stream proxy dropped — not a backend
-    fault: the proxy just ends, no failover, no health change."""
 
 
 def routing_key(spec: Dict[str, Any]) -> str:
@@ -180,7 +175,7 @@ class RouterJob:
         return self.state in ("done", "failed", "cancelled")
 
 
-class ShardRouter:
+class ShardRouter(JobServer):
     """Asyncio TCP front: one address, N detection-service backends.
 
     Parameters
@@ -220,6 +215,10 @@ class ShardRouter:
         matching the service's own streaming contract.
     """
 
+    role = "router"
+    metric_prefix = "cluster"
+    not_started_error = ClusterError
+
     def __init__(
         self,
         backends: Sequence[Union[str, Tuple[str, int]]],
@@ -237,22 +236,18 @@ class ShardRouter:
         retry_policy: Optional[RetryPolicy] = None,
         stream_timeout: Optional[float] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        # Instance-private metrics registry: routing/failover counters,
+        super().__init__(host, port,
+                         node_id or f"router-{uuid.uuid4().hex[:8]}",
+                         job_retention, job_log=job_log, quota=quota)
+        # The instance registry also carries routing/failover counters,
         # backend health transitions (via the pool), live health gauges.
-        self.obs = MetricsRegistry()
         self.pool = BackendPool(
             backends, probe_interval=probe_interval, probe_timeout=probe_timeout,
             obs=self.obs,
         )
-        if isinstance(job_log, (str, os.PathLike)):
-            job_log = JobLog(job_log)
-        self.job_log = job_log
         if isinstance(result_index, (str, os.PathLike)):
             result_index = ResultIndex(result_index)
         self.result_index = result_index
-        self.quota = quota
         self.backend_timeout = backend_timeout
         self.stream_timeout = stream_timeout
         if not isinstance(replication_factor, int) or replication_factor < 1:
@@ -264,19 +259,8 @@ class ShardRouter:
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=4, base_delay=0.25, max_delay=2.0
         )
-        self.job_retention = max(1, job_retention)
-        self.node_id = node_id or f"router-{uuid.uuid4().hex[:8]}"
-        self._jobs: "OrderedDict[str, RouterJob]" = OrderedDict()
-        self._spec_memo = SpecMemo(self.obs)
-        self._connections: set = set()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._replay_task: Optional[asyncio.Task] = None
         self._side_tasks: set = set()  #: mirror/standby-cancel fire-and-forgets
-        self._parse_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-router-parse"
-        )
-        self.started_at = time.monotonic()
         self.n_submitted = 0
         self.n_routed = 0
         self.n_failovers = 0
@@ -285,15 +269,6 @@ class ShardRouter:
         self.n_restored = 0
         self.n_mirrored = 0
         self.n_standby_promotions = 0
-        self._accepted = self.obs.counter(
-            "cluster_connections_accepted_total",
-            help="Client connections accepted since start.",
-        )
-        self.obs.gauge(
-            "cluster_connections_open",
-            help="Client connections currently open.",
-            fn=lambda: len(self._connections),
-        )
         self.obs.gauge(
             "cluster_backends_healthy",
             help="Backends currently eligible for new placement.",
@@ -304,17 +279,6 @@ class ShardRouter:
             help="Backends in the pool, healthy or not.",
             fn=lambda: len(self.pool.nodes),
         )
-        if self.job_log is not None:
-            self.obs.gauge(
-                "cluster_wal_appends",
-                help="Records appended to the router's durable job log.",
-                fn=lambda: self.job_log.n_appended,
-            )
-            self.obs.gauge(
-                "cluster_wal_compactions",
-                help="Compaction passes on the router's durable job log.",
-                fn=lambda: self.job_log.n_compactions,
-            )
 
     def _count(self, name: str, help_text: str, **labels) -> None:
         self.obs.counter(name, help=help_text, **labels).inc()
@@ -337,20 +301,11 @@ class ShardRouter:
             self._register_replayed()
         if self.result_index is not None:
             self._register_indexed()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
+        await self._listen()
         if self.n_replayed:
             self._replay_task = asyncio.create_task(
                 self._dispatch_replayed(), name="repro-router-replay"
             )
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._server is None or not self._server.sockets:
-            raise ClusterError("shard router is not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
 
     async def stop(self) -> None:
         if self._replay_task is not None:
@@ -364,18 +319,8 @@ class ShardRouter:
                 await task
         self._side_tasks.clear()
         await self.pool.stop_probing()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Sever live client connections so streaming clients see EOF and
-        # reconnect (to the restarted router) instead of hanging.
-        for writer in list(self._connections):
-            writer.close()
-        self._connections.clear()
-        await asyncio.sleep(0)
+        await self._close()
         self.pool.drop_idle()
-        self._parse_pool.shutdown(wait=False, cancel_futures=True)
         if self.job_log is not None:
             self.job_log.close()
         if self.result_index is not None:
@@ -403,7 +348,7 @@ class ShardRouter:
                 priority=pending.priority,
                 replayed=True,
             )
-            self._register(job)
+            self._register(job.rid, job)
             self.n_replayed += 1
 
     def _register_indexed(self) -> None:
@@ -419,7 +364,7 @@ class ShardRouter:
         for entry in self.result_index.load().values():
             if entry.job_id in self._jobs:
                 continue
-            self._register(RouterJob(
+            self._register(entry.job_id, RouterJob(
                 rid=entry.job_id,
                 spec={},
                 key=entry.key or "",
@@ -461,22 +406,6 @@ class ShardRouter:
                 return  # attempts exhausted: leave the rest pending
 
     # -- job registry ----------------------------------------------------------
-    def _register(self, job: RouterJob) -> None:
-        self._jobs[job.rid] = job
-        while len(self._jobs) > self.job_retention:
-            for rid, old in self._jobs.items():
-                if old.terminal:
-                    del self._jobs[rid]
-                    break
-            else:
-                break
-
-    def _job(self, rid: Any) -> RouterJob:
-        job = self._jobs.get(rid) if isinstance(rid, str) else None
-        if job is None:
-            raise JobNotFoundError(f"unknown job id {rid!r}")
-        return job
-
     def _complete(self, job: RouterJob, state: str) -> None:
         if job.terminal:
             return
@@ -542,9 +471,7 @@ class ShardRouter:
         A spec that fails to parse raises and is never remembered."""
         fingerprint, key = self._spec_memo.lookup(spec)
         if key is None:
-            key = await asyncio.get_running_loop().run_in_executor(
-                self._parse_pool, routing_key, spec
-            )
+            key = await self._parse(routing_key, spec)
             self._spec_memo.remember(fingerprint, key)
         return key
 
@@ -741,10 +668,9 @@ class ShardRouter:
             return job.node_id, job.backend_job_id
 
     # -- ops -------------------------------------------------------------------
-    async def _submit(self, msg: Dict[str, Any], peer: Optional[str]) -> Dict[str, Any]:
-        client = msg.get("client") or peer
-        if self.quota is not None:
-            self.quota.check(client)  # raises QuotaExceededError
+    async def op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        client = msg.get("client")
+        self._check_quota(client)
         priority = msg.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ServiceError(f"priority must be an integer, got {priority!r}")
@@ -773,7 +699,7 @@ class ShardRouter:
                     "cluster_submissions_total",
                     "Client submissions this router accepted.",
                 )
-                self._register(job)
+                self._register(job.rid, job)
                 if self.job_log is not None:
                     self.job_log.log_submit(
                         job.rid, spec, key=key, client=client,
@@ -810,7 +736,7 @@ class ShardRouter:
             doc["digest"] = job.result_digest
         return doc
 
-    async def _status(self, rid: Any) -> Dict[str, Any]:
+    async def op_status(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """Forward a status poll, re-dispatching a lost job on the way —
         a client that only polls (never streams) still gets its job
         recovered from a dead or amnesiac backend.
@@ -820,7 +746,7 @@ class ShardRouter:
         acting on the *new* assignment with the *old* call's failure
         would mark a healthy node down.
         """
-        job = self._job(rid)
+        job = self._job(msg.get("job_id"))
         for attempt in range(2):
             if job.node_id is None:
                 if job.terminal:
@@ -862,8 +788,8 @@ class ShardRouter:
             return {**reply, "job_id": job.rid, "node": node_id}
         return self._pending_doc(job)
 
-    async def _cancel(self, rid: Any) -> Dict[str, Any]:
-        job = self._job(rid)
+    async def op_cancel(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        job = self._job(msg.get("job_id"))
         for attempt in range(2):
             # Serialise with any in-flight dispatch (_ensure_assignment
             # holds this lock across the backend submit): cancelling
@@ -909,7 +835,7 @@ class ShardRouter:
         return {"ok": True, "job_id": job.rid, "state": job.state,
                 "cancelled": job.state == "cancelled"}
 
-    async def _route(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def op_route(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """``op: route`` — where *would* this job go (no submission).
 
         The introspection hook the affinity tests and ``repro cluster
@@ -948,142 +874,66 @@ class ShardRouter:
             # be eyeballed into a cluster number at N nodes.
             "cluster_cache": self.pool.cache_summary(),
         }
-        if self.quota is not None:
-            doc["quota"] = self.quota.snapshot()
-        if self.job_log is not None:
-            # Cheap fields only — stats runs on the event loop; a full
-            # WAL replay here would stall every in-flight stream proxy
-            # (same rule as the service side).
-            doc["job_log"] = {
-                "path": str(self.job_log.path),
-                "n_appended": self.job_log.n_appended,
-                "n_compactions": self.job_log.n_compactions,
-            }
+        self._admission_stats(doc)
         if self.result_index is not None:
-            # Cheap fields only, same event-loop rule as the job log.
-            doc["result_index"] = {
-                "path": str(self.result_index.path),
-                "n_appended": self.result_index.n_appended,
-                "n_compactions": self.result_index.n_compactions,
-            }
+            doc["result_index"] = store_stats(self.result_index)
         return doc
 
-    @staticmethod
-    def _label_spans(spans, node_id: str):
-        """Tag span dicts with a ``node`` label (copy, don't mutate)."""
-        out = []
-        for span in spans or []:
-            if not isinstance(span, dict):
-                continue
-            span = dict(span)
-            labels = dict(span.get("labels") or {})
-            labels.setdefault("node", node_id)
-            span["labels"] = labels
-            out.append(span)
-        return out
+    async def op_metrics(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``op:metrics`` reply: the router's registry merged with
+        the process-wide engine registry, plus one ``op:metrics`` round
+        per healthy backend whose families merge in tagged
+        ``node=<backend id>`` — so one scrape of the router (over TCP,
+        or through the gateway's ``GET /metrics``) covers the service
+        layer too.  With ``spans`` the round also gathers each node's
+        recent spans, ``node``-labeled: ``repro metrics --spans``
+        against the router sees the whole cluster.  A backend that
+        fails the fetch contributes nothing; health marking is left to
+        the probe loop (a scrape is not a health verdict)."""
+        include_spans = bool(msg.get("spans"))
 
-    def metrics(self, include_spans: bool = False) -> Dict[str, Any]:
-        """The ``op:metrics`` document: the router's registry merged
-        with the process-wide engine registry, as exposition JSON."""
+        async def fetch(node: BackendNode):
+            try:
+                reply = await self._call(
+                    node, {"op": "metrics", "spans": include_spans})
+            except BackendDown:
+                return None
+            return (node.node_id, reply) if reply.get("ok") else None
+
+        healthy = [n for n in self.pool.nodes.values() if n.healthy]
+        replies = [item for item in await asyncio.gather(
+            *(fetch(node) for node in healthy)) if item is not None]
         doc: Dict[str, Any] = {
             "ok": True,
             "role": "router",
             "node_id": self.node_id,
             "metrics": render_json(self.obs, get_registry()),
         }
+        for node_id, reply in replies:
+            merge_families(doc["metrics"], reply.get("metrics"),
+                           extra_labels={"node": node_id})
         if include_spans:
-            doc["spans"] = self._label_spans(recent_spans(64), self.node_id)
+            # Backend copies first, deduped by span id: in a thread-mode
+            # cluster every component shares one span ring, and the
+            # backends' node labels are the accurate ones.
+            sources = [(reply.get("spans"), node_id) for node_id, reply in replies]
+            sources.append((recent_spans(64), self.node_id))
+            seen: Set[str] = set()
+            doc["spans"] = []
+            for spans, node_id in sources:
+                for span in label_spans(spans, node_id):
+                    if str(span.get("span_id")) not in seen:
+                        seen.add(str(span.get("span_id")))
+                        doc["spans"].append(span)
         return doc
-
-    async def metrics_async(self, include_spans: bool = False) -> Dict[str, Any]:
-        """The wire ``op:metrics`` reply: the local document plus the
-        backend fan-out, so a plain TCP scrape of the router covers the
-        service layer exactly like the gateway's ``GET /metrics``.
-        With *include_spans* the backend fan-out also gathers each
-        node's recent spans, ``node``-labeled — ``repro metrics
-        --spans`` against the router sees the whole cluster."""
-        doc = self.metrics(include_spans=include_spans)
-        merged, spans = await self._backend_metrics(include_spans)
-        merge_families(doc["metrics"], merged)
-        if include_spans:
-            # Backend copies first: their node labels are the accurate
-            # ones when a thread-mode cluster shares one span ring.
-            seen = {str(s.get("span_id")) for s in spans}
-            doc["spans"] = spans + [
-                s for s in doc.get("spans") or []
-                if str(s.get("span_id")) not in seen
-            ]
-        return doc
-
-    async def backend_metric_families(self) -> Dict[str, Any]:
-        """Every healthy backend's ``op:metrics`` families, merged, each
-        sample tagged ``node=<backend id>`` — the service-layer half of
-        a cluster-wide scrape (the gateway folds this into
-        ``GET /metrics`` so one endpoint covers backends the scraper
-        cannot reach by registry reference).  A backend that fails the
-        fetch contributes nothing; health marking is left to the probe
-        loop (a scrape is not a health verdict)."""
-        merged, _ = await self._backend_metrics(False)
-        return merged
-
-    async def _backend_metrics(
-        self, include_spans: bool
-    ) -> Tuple[Dict[str, Any], list]:
-        """One ``op:metrics`` round per healthy backend: merged metric
-        families plus (optionally) each node's recent spans."""
-
-        async def fetch(node: BackendNode):
-            msg: Dict[str, Any] = {"op": "metrics"}
-            if include_spans:
-                msg["spans"] = True
-            try:
-                reply = await self._call(node, msg)
-            except BackendDown:
-                return None
-            if not reply.get("ok"):
-                return None
-            return node.node_id, reply
-
-        healthy = [n for n in self.pool.nodes.values() if n.healthy]
-        results = await asyncio.gather(*(fetch(node) for node in healthy))
-        merged: Dict[str, Any] = {}
-        spans: list = []
-        for item in results:
-            if item is None:
-                continue
-            node_id, reply = item
-            families = reply.get("metrics")
-            if isinstance(families, dict):
-                merge_families(merged, families, extra_labels={"node": node_id})
-            if include_spans:
-                # Dedup by span id across backends: a thread-mode
-                # cluster shares one span ring, so every backend
-                # reports the same spans — keep the first copy.
-                seen = {str(s.get("span_id")) for s in spans}
-                spans.extend(
-                    s for s in self._label_spans(reply.get("spans"), node_id)
-                    if str(s.get("span_id")) not in seen
-                )
-        return merged, spans
-
-    async def cluster_spans(self) -> list:
-        """Recent spans cluster-wide: the local ring (router + anything
-        co-hosted) plus each healthy backend's, all ``node``-labeled —
-        the span half of the gateway's ``/metrics?spans=true``."""
-        _, spans = await self._backend_metrics(True)
-        local = self._label_spans(recent_spans(64), self.node_id)
-        seen = {str(s.get("span_id")) for s in spans}
-        return spans + [s for s in local
-                        if str(s.get("span_id")) not in seen]
 
     # -- trace assembly --------------------------------------------------------
-    async def trace_async(
-        self, rid: Any = None, trace_key: Any = None
-    ) -> Dict[str, Any]:
+    async def op_trace(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """Assemble one cluster-wide trace: the ``op:trace`` reply.
 
-        Resolves a router job id to its trace key (the ``cluster.submit``
-        span id that rode to the backends as ``msg["trace"]``), gathers
+        Resolves a router ``job_id`` to its trace key (the
+        ``cluster.submit`` span id that rode to the backends as
+        ``msg["trace"]``), or takes a raw ``trace`` key, gathers
         this process's buffered spans for the trace, fans ``op:trace``
         out to the backends that touched the job (primary + warm
         standby; every healthy node for a raw trace key), and merges
@@ -1095,6 +945,7 @@ class ShardRouter:
         root via ``parent_id`` links — plus per-node skew evidence;
         consumers build the tree with :func:`repro.obs.build_tree`.
         """
+        rid, trace_key = msg.get("job_id"), msg.get("trace")
         job: Optional[RouterJob] = None
         if rid is not None:
             job = self._job(rid)
@@ -1166,7 +1017,7 @@ class ShardRouter:
                 rtt = node.probe_rtt if node.probe_rtt else (t1 - t0)
                 if abs(offset) > max(rtt, 0.005):
                     skew = offset
-            node_spans = self._label_spans(reply.get("spans"), node.node_id)
+            node_spans = label_spans(reply.get("spans"), node.node_id)
             if skew:
                 for span in node_spans:
                     if isinstance(span.get("started"), (int, float)):
@@ -1196,7 +1047,7 @@ class ShardRouter:
         surviving backend death.
 
         This is the one stream implementation behind both wire surfaces:
-        the TCP ``op: stream`` proxy (:meth:`_stream_job`) and the HTTP
+        the TCP ``op: stream`` relay of :class:`JobServer` and the HTTP
         gateway's SSE endpoint consume it and only differ in framing.
 
         On a mid-stream backend failure the job is re-dispatched (dead
@@ -1309,95 +1160,12 @@ class ShardRouter:
                 if conn is not None:  # mid-stream: not reusable
                     conn[1].close()
 
-    async def _stream_job(self, rid: Any, writer: asyncio.StreamWriter) -> None:
-        """``op: stream`` — :meth:`job_events` in JSON-lines framing."""
-        events = self.job_events(rid)
-        try:
-            async for doc in events:
-                # Client-side write failures are the *client's* death,
-                # never the backend's — the generator must not see them
-                # as stream faults (it would mark healthy nodes down),
-                # so they end the proxy here.  The job keeps running; a
-                # reconnecting client replays history via a fresh op.
-                try:
-                    writer.write(encode_line(doc))
-                    await writer.drain()
-                except (OSError, ConnectionError, ConnectionResetError) as exc:
-                    raise _ClientGone(str(exc)) from exc
-        except _ClientGone:
-            return
-        finally:
-            await events.aclose()
-
-    # -- protocol loop ---------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if isinstance(peername, tuple) else None
-        self._connections.add(writer)
-        self._accepted.inc()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    writer.write(encode_line(
-                        {"ok": False, "error": "bad-request",
-                         "message": "protocol line too long"}))
-                    await writer.drain()
-                    break
-                if not line.strip():
-                    if not line:
-                        break  # EOF
-                    continue
-                try:
-                    msg = decode_line(line)
-                    op = msg.get("op")
-                    if op == "stream":
-                        await self._stream_job(msg.get("job_id"), writer)
-                        continue
-                    if op == "submit":
-                        reply = await self._submit(msg, peer)
-                    elif op == "status":
-                        reply = await self._status(msg.get("job_id"))
-                    elif op == "cancel":
-                        reply = await self._cancel(msg.get("job_id"))
-                    elif op == "route":
-                        reply = await self._route(msg)
-                    elif op == "stats":
-                        reply = {"ok": True, **self.stats()}
-                    elif op == "metrics":
-                        reply = await self.metrics_async(
-                            include_spans=bool(msg.get("spans")))
-                    elif op == "trace":
-                        reply = await self.trace_async(
-                            rid=msg.get("job_id"),
-                            trace_key=msg.get("trace"))
-                    elif op == "ping":
-                        reply = {"ok": True, "pong": True, "role": "router"}
-                    else:
-                        raise ServiceError(f"unknown op {op!r}")
-                except ClusterError as exc:
-                    reply = {"ok": False, "error": "no-backends", "message": str(exc)}
-                except ServiceError as exc:
-                    reply = error_reply(exc)
-                writer.write(encode_line(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
 
 # -- embedding helpers ---------------------------------------------------------
 
 class RouterHandle(LoopHandle):
     """A router running on a private event loop in a daemon thread —
-    the router-flavoured :class:`~repro.service.server.LoopHandle`."""
+    the router-flavoured :class:`~repro.service.jobserver.LoopHandle`."""
 
     def __init__(self, router: ShardRouter,
                  loop: asyncio.AbstractEventLoop, thread: threading.Thread) -> None:
@@ -1415,29 +1183,19 @@ def router_background(**kwargs: Any) -> RouterHandle:
     return RouterHandle(router, loop, thread)
 
 
+def _banner(router: ShardRouter) -> str:
+    host, port = router.address
+    healthy = len(router.pool.healthy_ids())
+    return (
+        f"repro cluster router listening on {host}:{port} "
+        f"({healthy}/{len(router.pool.nodes)} backends healthy"
+        f"{', durable' if router.job_log is not None else ''}"
+        f"{', indexed' if router.result_index is not None else ''}"
+        f"{f', rf={router.replication_factor}' if router.replication_factor > 1 else ''}"
+        f"{', quotas' if router.quota is not None else ''})"
+    )
+
+
 def serve_cluster_forever(**kwargs: Any) -> None:
     """Run a router in the foreground until interrupted (the CLI path)."""
-
-    async def main() -> None:
-        router = ShardRouter(**kwargs)
-        await router.start()
-        host, port = router.address
-        healthy = len(router.pool.healthy_ids())
-        print(
-            f"repro cluster router listening on {host}:{port} "
-            f"({healthy}/{len(router.pool.nodes)} backends healthy"
-            f"{', durable' if router.job_log is not None else ''}"
-            f"{', indexed' if router.result_index is not None else ''}"
-            f"{f', rf={router.replication_factor}' if router.replication_factor > 1 else ''}"
-            f"{', quotas' if router.quota is not None else ''})",
-            flush=True,
-        )
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await router.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("cluster router stopped")
+    run_forever(lambda: ShardRouter(**kwargs), _banner, "cluster router stopped")

@@ -30,6 +30,13 @@ Control plane (router targets):
 * ``POST /admin/drain``             gateway drain mode: stop admitting
   submissions (503), finish streaming, report drained.
 
+Both target types are a :class:`~repro.service.jobserver.JobServer`,
+and the gateway calls it directly: every job-control route is one
+``target.request(msg)`` — the same op table the TCP connection loop
+dispatches into — and the SSE endpoint relays ``target.job_events``.
+Whatever differs between a service and a router is answered by the
+target itself.
+
 Threading: the gateway shares its target's event loop — service and
 router state is loop-owned, so the gateway must live on that loop to
 call into them without marshalling.  :func:`gateway_background`
@@ -42,7 +49,7 @@ import asyncio
 import contextlib
 import threading
 import time
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
     ClusterError,
@@ -67,7 +74,7 @@ from repro.obs import (
     critical_path,
     families_to_prometheus,
     get_collector,
-    get_registry,
+    label_spans,
     merge_families,
     recent_spans,
     record_span,
@@ -76,8 +83,13 @@ from repro.obs import (
     stage_self_times,
     trace,
 )
+from repro.service.jobserver import (
+    JobServer,
+    LoopHandle,
+    run_background_loop,
+    run_forever,
+)
 from repro.service.protocol import error_reply
-from repro.service.server import LoopHandle, run_background_loop
 
 __all__ = [
     "Gateway",
@@ -110,132 +122,9 @@ TRACE_HEADER = "x-repro-trace"
 TRACE_ID_MAX_LEN = 128
 
 
-def _label_spans(spans, node_id: str):
-    """Tag span dicts with a ``node`` label (copying, not mutating)."""
-    out = []
-    for span in spans or []:
-        if not isinstance(span, dict):
-            continue
-        span = dict(span)
-        labels = dict(span.get("labels") or {})
-        labels.setdefault("node", node_id)
-        span["labels"] = labels
-        out.append(span)
-    return out
-
 #: How long a drain-remove waits for a backend's streams to finish
 #: before the background remover gives up and removes it anyway.
 DRAIN_REMOVE_TIMEOUT = 300.0
-
-
-class _Binding:
-    """The target-facing face of the gateway: submit/status/cancel/
-    events/stats against either target type, identical call shapes."""
-
-    role = "unknown"
-
-    def __init__(self, target: Any) -> None:
-        self.target = target
-
-    @property
-    def pool(self):
-        return None
-
-    async def submit(self, msg: Dict[str, Any], peer: Optional[str]) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    async def status(self, job_id: str) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    async def cancel(self, job_id: str) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def job_events(self, job_id: str) -> AsyncIterator[Dict[str, Any]]:
-        return self.target.job_events(job_id)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.target.stats()
-
-    async def metric_families(self) -> Dict[str, Any]:
-        """Metric families reachable only over the wire — in-process
-        registries merge by reference; router targets scrape their
-        backends here."""
-        return {}
-
-    async def trace(self, job_id: Optional[str] = None,
-                    trace_key: Optional[str] = None) -> Dict[str, Any]:
-        """The target's span document for one trace/job — router
-        targets fan out to their backends, service targets answer from
-        the local collector.  Spans come back ``node``-labeled."""
-        raise NotImplementedError
-
-    async def cluster_spans(self) -> list:
-        """Recent spans across the target's reach, ``node``-labeled."""
-        return []
-
-
-class _ServiceBinding(_Binding):
-    """Gateway mounted straight on a :class:`DetectionService`."""
-
-    role = "service"
-
-    async def submit(self, msg: Dict[str, Any], peer: Optional[str]) -> Dict[str, Any]:
-        return await self.target._submit_async(msg, peer)
-
-    async def status(self, job_id: str) -> Dict[str, Any]:
-        return self.target.status(job_id)
-
-    async def cancel(self, job_id: str) -> Dict[str, Any]:
-        return self.target.cancel(job_id)
-
-    async def trace(self, job_id: Optional[str] = None,
-                    trace_key: Optional[str] = None) -> Dict[str, Any]:
-        doc = self.target.trace_doc(trace_id=trace_key, job_id=job_id)
-        doc["spans"] = _label_spans(doc.get("spans"), self.target.node_id)
-        return doc
-
-    async def cluster_spans(self) -> list:
-        return _label_spans(recent_spans(64), self.target.node_id)
-
-
-class _RouterBinding(_Binding):
-    """Gateway mounted on a :class:`ShardRouter` — the cluster face."""
-
-    role = "router"
-
-    @property
-    def pool(self):
-        return self.target.pool
-
-    async def submit(self, msg: Dict[str, Any], peer: Optional[str]) -> Dict[str, Any]:
-        return await self.target._submit(msg, peer)
-
-    async def status(self, job_id: str) -> Dict[str, Any]:
-        return await self.target._status(job_id)
-
-    async def cancel(self, job_id: str) -> Dict[str, Any]:
-        return await self.target._cancel(job_id)
-
-    async def metric_families(self) -> Dict[str, Any]:
-        return await self.target.backend_metric_families()
-
-    async def trace(self, job_id: Optional[str] = None,
-                    trace_key: Optional[str] = None) -> Dict[str, Any]:
-        return await self.target.trace_async(rid=job_id, trace_key=trace_key)
-
-    async def cluster_spans(self) -> list:
-        return await self.target.cluster_spans()
-
-
-def _make_binding(target: Any) -> _Binding:
-    if hasattr(target, "pool") and hasattr(target, "choose_node"):
-        return _RouterBinding(target)
-    if hasattr(target, "job_events") and hasattr(target, "admit"):
-        return _ServiceBinding(target)
-    raise GatewayError(
-        f"gateway targets are DetectionService or ShardRouter instances, "
-        f"got {type(target).__name__}"
-    )
 
 
 class Gateway:
@@ -244,7 +133,8 @@ class Gateway:
     Parameters
     ----------
     target:
-        A :class:`DetectionService` or :class:`ShardRouter`.  If it is
+        A :class:`~repro.service.jobserver.JobServer` — a
+        :class:`DetectionService` or a :class:`ShardRouter`.  If it is
         not yet started, :meth:`start` starts it on the gateway's loop
         and :meth:`stop` stops it; an already-started target (sharing
         this loop) is left under its owner's control.
@@ -253,8 +143,13 @@ class Gateway:
         :attr:`address`).
     """
 
-    def __init__(self, target: Any, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.binding = _make_binding(target)
+    def __init__(self, target: JobServer, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
+        if not isinstance(target, JobServer):
+            raise GatewayError(
+                f"gateway targets are DetectionService or ShardRouter "
+                f"instances, got {type(target).__name__}"
+            )
         self.target = target
         self.host = host
         self.port = port
@@ -297,7 +192,7 @@ class Gateway:
         self.started_at = time.monotonic()
         try:
             self.target.address
-        except (ServiceError, ClusterError):
+        except ServiceError:
             await self.target.start()
             self._started_target = True
         self._server = await asyncio.start_server(
@@ -333,7 +228,7 @@ class Gateway:
     def stats(self) -> Dict[str, Any]:
         return {
             "role": "gateway",
-            "target_role": self.binding.role,
+            "target_role": self.target.role,
             "uptime_seconds": time.monotonic() - self.started_at,
             "draining": self.draining,
             "n_requests": self.n_requests,
@@ -353,44 +248,39 @@ class Gateway:
             status=str(status),
         ).inc()
 
-    def _metrics_registries(self) -> list:
-        """The registries ``/metrics`` merges: gateway-owned, the
-        target's (service or router), and the process-global engine
-        registry.  The exposition layer dedupes shared registries."""
-        registries = [self.obs]
-        target_obs = getattr(self.target, "obs", None)
-        if target_obs is not None:
-            registries.append(target_obs)
-        registries.append(get_registry())
-        return registries
-
     async def _handle_metrics(
         self, request: HttpRequest, writer: asyncio.StreamWriter
     ) -> bool:
         """``GET /metrics``: Prometheus text by default, the JSON
         families document with ``?format=json`` (add ``&spans=true``
-        for the recent-span ring).  Covers all five layers: the local
-        registries (gateway + target + process-global engine) merged
-        with the wire-scraped backend families (router targets)."""
-        families = render_json(*self._metrics_registries())
-        merge_families(families, await self.binding.metric_families())
+        for the recent-span ring).  Covers all five layers: the
+        gateway's registry merged with the target's ``op:metrics``
+        document — its own and the process-global engine registry,
+        plus, for a router, every backend's families scraped over the
+        wire."""
+        as_json = request.query.get("format") == "json"
+        want_spans = as_json and \
+            request.query.get("spans") in ("1", "true", "yes")
+        target_doc = await self.target.request(
+            {"op": "metrics", "spans": want_spans})
+        families = merge_families(render_json(self.obs), target_doc["metrics"])
         self._count_response(200)
-        if request.query.get("format") == "json":
+        if as_json:
             doc: Dict[str, Any] = {
                 "ok": True,
                 "role": "gateway",
-                "target_role": self.binding.role,
+                "target_role": self.target.role,
                 "metrics": families,
             }
-            if request.query.get("spans") in ("1", "true", "yes"):
-                # Cluster-wide: the target's fan-out carries node
-                # labels; local ring entries it missed fall back to a
+            if want_spans:
+                # Cluster-wide: the target's spans carry node labels;
+                # local ring entries it missed fall back to a
                 # ``gateway`` label (single-process deployments share
                 # one ring, so most local spans arrive labeled).
-                spans = await self.binding.cluster_spans()
+                spans = label_spans(target_doc.get("spans"), self.target.node_id)
                 seen = {str(s.get("span_id")) for s in spans}
                 doc["spans"] = spans + [
-                    s for s in _label_spans(recent_spans(64), "gateway")
+                    s for s in label_spans(recent_spans(64), "gateway")
                     if str(s.get("span_id")) not in seen
                 ]
             writer.write(json_response(200, doc, close=not request.keep_alive))
@@ -493,15 +383,16 @@ class Gateway:
         :func:`error_reply`'s wire document — HTTP clients read the same
         error shapes TCP clients do."""
         if isinstance(exc, HttpError):
-            return exc.status, {"ok": False, "error": "bad-request",
-                                "message": str(exc)}
-        if isinstance(exc, QueueFullError):  # QuotaExceededError included
-            return 429, error_reply(exc)
-        if isinstance(exc, JobNotFoundError):
-            return 404, error_reply(exc)
-        if isinstance(exc, ClusterError):
-            return 503, {"ok": False, "error": "no-backends", "message": str(exc)}
-        return 400, error_reply(exc)
+            status = exc.status
+        elif isinstance(exc, QueueFullError):  # QuotaExceededError included
+            status = 429
+        elif isinstance(exc, JobNotFoundError):
+            status = 404
+        elif isinstance(exc, ClusterError):
+            status = 503
+        else:
+            status = 400
+        return status, error_reply(exc)
 
     # -- routing ---------------------------------------------------------------
     @staticmethod
@@ -524,17 +415,17 @@ class Gateway:
         if parts[:2] == ["v1", "jobs"]:
             if len(parts) == 2 and method == "POST":
                 return await self._handle_submit(request)
-            if len(parts) == 3 and method == "GET":
-                return 200, await self.binding.status(parts[2])
-            if len(parts) == 3 and method == "DELETE":
-                return 200, await self.binding.cancel(parts[2])
+            if len(parts) == 3 and method in ("GET", "DELETE"):
+                op = "status" if method == "GET" else "cancel"
+                return 200, await self.target.request(
+                    {"op": op, "job_id": parts[2]})
             if len(parts) == 4 and parts[3] == "trace" and method == "GET":
                 return 200, await self._handle_trace(job_id=parts[2])
         if parts[:2] == ["v1", "traces"] and len(parts) == 3 \
                 and method == "GET":
             return 200, await self._handle_trace(trace_key=parts[2])
         if parts == ["v1", "stats"] and method == "GET":
-            return 200, {"ok": True, **self.binding.stats()}
+            return 200, await self.target.request({"op": "stats"})
         if parts == ["admin", "cluster"] and method == "GET":
             return 200, self._cluster_doc()
         if parts == ["admin", "drain"] and method == "POST":
@@ -553,16 +444,17 @@ class Gateway:
         """``GET /v1/jobs/{id}/trace`` / ``GET /v1/traces/{trace_id}``:
         one assembled trace tree for the whole request path.
 
-        The binding supplies the target's view (a router fans out to
-        the backends that touched the job); the gateway grafts in its
+        The target's ``op:trace`` supplies its view (a router fans out
+        to the backends that touched the job); the gateway grafts in its
         own request spans — the router's submit span parents under the
         gateway span whose id rode the wire, so the local buckets
         holding any still-missing parent ids complete the tree — and
         returns the flat span list, the nested tree, the per-stage
         self-times, and the longest chain."""
-        doc = await self.binding.trace(job_id=job_id, trace_key=trace_key)
+        doc = await self.target.request(
+            {"op": "trace", "job_id": job_id, "trace": trace_key})
         spans = {str(s.get("span_id")): s
-                 for s in doc.get("spans") or [] if isinstance(s, dict)}
+                 for s in label_spans(doc.get("spans"), self.target.node_id)}
         # Parent ids no fetched span resolves: look them up in the
         # gateway-local collector (no-op when the target shares this
         # process's collector — those buckets were already served).
@@ -570,7 +462,7 @@ class Gateway:
                    if s.get("parent_id")} - set(spans)
         collector = get_collector()
         for parent_id in missing:
-            for span in _label_spans(
+            for span in label_spans(
                     collector.spans_for_member(parent_id), "gateway"):
                 spans.setdefault(str(span.get("span_id")), span)
         flat = list(spans.values())
@@ -578,7 +470,7 @@ class Gateway:
         return {
             "ok": True,
             "role": "gateway",
-            "target_role": self.binding.role,
+            "target_role": self.target.role,
             "trace": doc.get("trace"),
             "job_id": doc.get("job_id") or job_id,
             "nodes": doc.get("nodes") or [],
@@ -644,7 +536,7 @@ class Gateway:
                        node="gateway", method="POST",
                        route="/v1/jobs") as span:
                 msg["trace"] = span.span_id
-                reply = await self.binding.submit(msg, peer=None)
+                reply = await self.target.request(msg)
         if reply.get("ok"):
             self.n_submitted += 1
             return 202, reply
@@ -665,7 +557,7 @@ class Gateway:
         after the first document arrives, so unknown jobs still get a
         clean 404 instead of a dead event stream."""
         job_id = [p for p in request.path.split("/") if p][2]
-        events = self.binding.job_events(job_id)
+        events = self.target.job_events(job_id)
         try:
             try:
                 first = await events.__anext__()
@@ -730,7 +622,7 @@ class Gateway:
         return {
             "ok": True,
             "gateway": self.stats(),
-            "target": self.binding.stats(),
+            "target": self.target.stats(),
         }
 
     async def _handle_gateway_drain(
@@ -751,7 +643,7 @@ class Gateway:
         }
 
     def _pool_or_400(self):
-        pool = self.binding.pool
+        pool = self.target.pool
         if pool is None:
             raise HttpError(
                 400, "backend membership needs a router target; this gateway "
@@ -811,7 +703,7 @@ class Gateway:
         }
 
     async def _remove_when_drained(self, node_id: str) -> None:
-        pool = self.binding.pool
+        pool = self.target.pool
         deadline = time.monotonic() + DRAIN_REMOVE_TIMEOUT
         while time.monotonic() < deadline:
             node = pool.nodes.get(node_id)
@@ -848,23 +740,13 @@ def gateway_background(target_factory, host: str = "127.0.0.1",
     return GatewayHandle(gateway, loop, thread)
 
 
+def _banner(gateway: Gateway) -> str:
+    host, port = gateway.address
+    return f"repro gateway listening on {host}:{port} (fronting a {gateway.target.role})"
+
+
 def serve_gateway_forever(target_factory, host: str = "127.0.0.1",
                           port: int = 0) -> None:
     """Run a gateway in the foreground until interrupted (the CLI path)."""
-
-    async def main() -> None:
-        gateway = Gateway(target_factory(), host=host, port=port)
-        await gateway.start()
-        ghost, gport = gateway.address
-        # flush: harnesses parse this line to learn the port.
-        print(f"repro gateway listening on {ghost}:{gport} "
-              f"(fronting a {gateway.binding.role})", flush=True)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await gateway.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("gateway stopped")
+    run_forever(lambda: Gateway(target_factory(), host=host, port=port),
+                _banner, "gateway stopped")

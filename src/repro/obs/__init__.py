@@ -37,6 +37,7 @@ from repro.obs.trace import (
     Span,
     close_span,
     current_span,
+    label_spans,
     open_span,
     record_span,
     recent_spans,
@@ -74,6 +75,7 @@ __all__ = [
     "Span",
     "close_span",
     "current_span",
+    "label_spans",
     "open_span",
     "span_context",
     "record_span",

@@ -128,6 +128,18 @@ def recent_spans(limit: Optional[int] = None) -> List[Dict[str, object]]:
     return [span.as_dict() for span in spans]
 
 
+def label_spans(spans, node_id: str) -> List[Dict[str, object]]:
+    """Span dicts tagged with a ``node`` label where they carry none —
+    copies, never mutations, so a shared ring stays as recorded.
+    Non-dict entries (a malformed wire reply) are dropped."""
+    out = []
+    for span in spans or []:
+        if isinstance(span, dict):
+            labels = {"node": node_id, **(span.get("labels") or {})}
+            out.append({**span, "labels": labels})
+    return out
+
+
 def record_span(
     name: str,
     duration_seconds: float,

@@ -25,7 +25,10 @@ The pieces:
   reject-with-retry-after backpressure;
 * :mod:`~repro.service.protocol` — the wire schema (submit / status /
   cancel / stream / stats) and job-spec → request construction;
-* :mod:`~repro.service.server` — the asyncio TCP server and worker
+* :mod:`~repro.service.jobserver` — the one JSON-lines connection loop
+  and op table under both the service and the cluster router, which
+  the HTTP gateway also calls directly;
+* :mod:`~repro.service.server` — the service's job side: the worker
   pool over :func:`repro.engine.run_stream`, with
   :class:`~repro.engine.cache.ResultCache` consult-before-dispatch /
   publish-after-merge;
@@ -40,6 +43,7 @@ numerical drift.
 
 from repro.service.client import ServiceClient, StreamedDetection
 from repro.service.jobs import Job, JobState, TERMINAL_STATES
+from repro.service.jobserver import JobServer
 from repro.service.policy import RetryPolicy, RetryState
 from repro.service.protocol import (
     event_to_wire,
@@ -58,6 +62,7 @@ from repro.service.server import (
 
 __all__ = [
     "DetectionService",
+    "JobServer",
     "ServiceHandle",
     "serve_background",
     "serve_forever",

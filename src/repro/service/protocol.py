@@ -24,7 +24,11 @@ debug op, ``{"op": "route", "job": {...}}``, answering where a spec
 service it answers that node's local buffer; against a router it fans
 out to the backends that touched the job and returns the merged,
 ``node``-labeled, clock-skew-adjusted span list (see
-:meth:`repro.cluster.router.ClusterRouter.trace_async`).
+:meth:`repro.cluster.router.ShardRouter.op_trace`).
+
+Both servers answer these ops from one connection loop and op table,
+:class:`repro.service.jobserver.JobServer`; ``op`` ``x`` is the
+server's ``op_x`` coroutine.
 
 A *job spec* names the image one of three ways plus the engine knobs:
 
@@ -73,6 +77,7 @@ from repro.engine.schema import (
     request_for_image,
 )
 from repro.errors import (
+    ClusterError,
     DeadlineExceededError,
     JobNotFoundError,
     QueueFullError,
@@ -131,9 +136,10 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
 def error_reply(exc: ServiceError) -> Dict[str, Any]:
     """The one exception → ``ok: false`` reply mapping — the wire-error
-    contract both the service's and the cluster router's protocol loops
-    speak (a handler may map its own subclasses *before* falling back
-    here, as the router does for its no-backends case)."""
+    contract of the job server's connection loop, and the body of the
+    gateway's HTTP error responses."""
+    if isinstance(exc, ClusterError):
+        return {"ok": False, "error": "no-backends", "message": str(exc)}
     if isinstance(exc, QuotaExceededError):
         return {"ok": False, "error": "quota-exceeded",
                 "message": str(exc), "retry_after": exc.retry_after}

@@ -2,8 +2,9 @@
 
 One process, three moving parts:
 
-* a TCP protocol loop (:meth:`DetectionService._handle_connection`)
-  speaking the JSON-lines protocol of :mod:`repro.service.protocol`;
+* the JSON-lines connection loop and op table it inherits from
+  :class:`~repro.service.jobserver.JobServer` (shared with the cluster
+  router), speaking the protocol of :mod:`repro.service.protocol`;
 * a bounded priority :class:`~repro.service.queue.JobQueue` with
   reject-with-retry-after backpressure;
 * ``workers`` worker coroutines, each draining the queue and running
@@ -31,27 +32,20 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.engine import run_stream
 from repro.engine.cache import ResultCache, result_to_json
 from repro.engine.schema import ResultEvent, request_key
-from repro.errors import (
-    DeadlineExceededError,
-    JobNotFoundError,
-    QueueFullError,
-    ServiceError,
-)
+from repro.errors import QueueFullError, ServiceError
 from repro.obs import (
     Histogram,
-    MetricsRegistry,
     get_registry,
     mark_trace,
     recent_spans,
@@ -62,13 +56,14 @@ from repro.obs import (
     trace_spans,
 )
 from repro.service.jobs import Job, JobState
+from repro.service.jobserver import (
+    JobServer,
+    LoopHandle,
+    run_background_loop,
+    run_forever,
+)
 from repro.service.protocol import (
-    MAX_LINE_BYTES,
     TERMINAL_EVENTS,
-    SpecMemo,
-    decode_line,
-    encode_line,
-    error_reply,
     event_to_wire,
     request_from_wire,
 )
@@ -76,9 +71,7 @@ from repro.service.queue import JobQueue
 
 __all__ = [
     "DetectionService",
-    "LoopHandle",
     "ServiceHandle",
-    "run_background_loop",
     "serve_background",
     "serve_forever",
 ]
@@ -99,7 +92,7 @@ class _JobCancelled(Exception):
     """Internal: a worker thread observed the job's cancel flag."""
 
 
-class DetectionService:
+class DetectionService(JobServer):
     """Async detection service over the unified engine.
 
     Parameters
@@ -133,6 +126,9 @@ class DetectionService:
         it); defaults to a fresh ``svc-…`` id per process.
     """
 
+    role = "service"
+    metric_prefix = "service"
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -148,65 +144,26 @@ class DetectionService:
     ) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port, node_id or f"svc-{uuid.uuid4().hex[:8]}",
+                         job_retention, job_log=job_log, quota=quota)
         self.workers = workers
         self.cache = cache
         self.executor = executor
-        self.job_retention = max(1, job_retention)
-        if isinstance(job_log, (str, os.PathLike)):
-            # Lazy import: repro.cluster imports repro.service at module
-            # scope; this direction must resolve at call time only.
-            from repro.cluster.joblog import JobLog
-
-            job_log = JobLog(job_log)
-        self.job_log = job_log
-        self.quota = quota
-        self.node_id = node_id or f"svc-{uuid.uuid4().hex[:8]}"
-        #: Fault-injection hook (chaos harness): seconds of artificial
-        #: latency added before every request/reply answer.  Pushing it
-        #: past a router's probe timeout simulates a slow-but-alive
-        #: node; 0.0 (the default) is a no-op.
-        self.response_delay = 0.0
-        self.started_at = time.monotonic()
         self.n_replayed = 0
         self._queue = JobQueue(max_pending=queue_size)
-        self._jobs: "OrderedDict[str, Job]" = OrderedDict()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: set = set()
         self._worker_tasks: list = []
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-engine"
-        )
-        # Request parsing (base64 pixels, threshold scans, image hashing)
-        # is O(pixels) numpy work: it runs here, never on the event loop,
-        # and never behind long engine jobs in the worker pool.
-        self._parse_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-parse"
         )
         self.n_submitted = 0
         self.n_dispatched = 0
         self.n_cache_hits = 0
         self.n_cache_misses = 0
-        # Instance-private metrics registry: per-stage latency histograms
-        # (the op:stats ``stage_latency`` doc is built from these — the
-        # successor to the old bespoke ``StageLatencies`` class), live
-        # queue gauges, and lifecycle counters.  Exposed via op:metrics
-        # merged with the process-wide engine registry.
-        self.obs = MetricsRegistry()
+        # Per-stage latency histograms (the op:stats ``stage_latency``
+        # doc is built from these), live queue gauges, and lifecycle
+        # counters, all in the instance registry.
         self._stage_hist: "OrderedDict[str, Histogram]" = OrderedDict()
         self._stage_lock = threading.Lock()
-        self._spec_memo = SpecMemo(self.obs)
-        self._accepted = self.obs.counter(
-            "service_connections_accepted_total",
-            help="Client connections accepted since start.",
-        )
-        self.obs.gauge(
-            "service_connections_open",
-            help="Client connections currently open.",
-            fn=lambda: len(self._connections),
-        )
         self.obs.gauge(
             "service_queue_depth",
             help="Jobs admitted but not yet dispatched.",
@@ -217,17 +174,6 @@ class DetectionService:
             help="Queue admission limit.",
             fn=lambda: self._queue.max_pending,
         )
-        if self.job_log is not None:
-            self.obs.gauge(
-                "service_wal_appends",
-                help="Records appended to the durable job log.",
-                fn=lambda: self.job_log.n_appended,
-            )
-            self.obs.gauge(
-                "service_wal_compactions",
-                help="Compaction passes on the durable job log.",
-                fn=lambda: self.job_log.n_compactions,
-            )
 
     # -- obs helpers -----------------------------------------------------------
     def _record_stage(self, stage: str, seconds: float) -> None:
@@ -274,9 +220,7 @@ class DetectionService:
         self.started_at = time.monotonic()
         if self.job_log is not None:
             await self._replay_pending()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
+        await self._listen()
         self._worker_tasks = [
             asyncio.create_task(self._worker(), name=f"repro-worker-{i}")
             for i in range(self.workers)
@@ -294,26 +238,21 @@ class DetectionService:
             if pending.job_id in self._jobs:
                 continue
             try:
-                request, key = await self._parse_on_thread(pending.spec)
+                request, key = await self._parse(self._parse_spec, pending.spec)
             except ServiceError:
                 self.job_log.log_complete(pending.job_id, "failed")
                 continue
+            job = self._new_job(request, key, pending.priority,
+                                job_id=pending.job_id, already_logged=True)
+            hit = self._cache_lookup(key)
             try:
-                self.admit(
-                    request, key, pending.priority,
-                    job_id=pending.job_id, already_logged=True,
-                )
+                if hit is not None:
+                    self._admit_done(job, hit)
+                else:
+                    self._enqueue(job, None, None)
             except QueueFullError:
                 continue  # still pending; the next restart retries
             self.n_replayed += 1
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The actually-bound (host, port)."""
-        if self._server is None or not self._server.sockets:
-            raise ServiceError("service is not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
 
     async def stop(self) -> None:
         for task in self._worker_tasks:
@@ -322,25 +261,14 @@ class DetectionService:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         self._worker_tasks = []
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Sever live connections too: a stopped service must look dead
-        # to its peers *now* — a cluster router streaming a job from a
-        # killed in-process backend relies on this EOF to fail over.
-        for writer in list(self._connections):
-            writer.close()
-        self._connections.clear()
-        await asyncio.sleep(0)  # let connection_lost callbacks run
+        await self._close()
         self._pool.shutdown(wait=False, cancel_futures=True)
-        self._parse_pool.shutdown(wait=False, cancel_futures=True)
         if self.cache is not None:
             self.cache.flush()
         if self.job_log is not None:
             self.job_log.close()
 
-    # -- job control (loop thread) ---------------------------------------------
+    # -- admission (loop thread) -----------------------------------------------
     def _parse_spec(self, spec: Dict[str, Any]):
         """Spec → (request, key).  O(pixels); runs on the parse thread."""
         parse_started = time.monotonic()
@@ -349,75 +277,55 @@ class DetectionService:
         self._record_stage("parse", time.monotonic() - parse_started)
         return request, key
 
-    def _parse_on_thread(self, spec: Dict[str, Any]):
-        """Awaitable :meth:`_parse_spec` on the parse thread."""
-        return asyncio.get_running_loop().run_in_executor(
-            self._parse_pool, self._parse_spec, spec
-        )
-
-    def _check_quota(self, client: Optional[str]) -> None:
-        if self.quota is None:
-            return
-        try:
-            self.quota.check(client)  # raises QuotaExceededError
-        except ServiceError:
-            self.obs.counter(
-                "service_quota_rejections_total",
-                help="Submissions rejected by per-client quota.",
-            ).inc()
-            raise
-
     def submit(self, spec: Dict[str, Any], priority: int = 0,
                timeout: float = 30.0, client: Optional[str] = None) -> Dict[str, Any]:
-        """Parse and admit one job spec — the blocking embedding API.
+        """The blocking embedding API: one ``op: submit`` from a thread
+        other than the service's own (e.g. against a
+        :func:`serve_background` handle).
 
         Loop state (queue, registry, subscriber fan-out) is only touched
-        on the loop thread: called from any other thread (e.g. against a
-        :func:`serve_background` handle), admission is marshalled over
-        with ``run_coroutine_threadsafe`` — a bare ``put_nowait`` from a
+        on the loop thread, so the submit is marshalled over with
+        ``run_coroutine_threadsafe`` — a bare ``put_nowait`` from a
         foreign thread would enqueue without waking the loop, leaving
-        the job queued forever.  The protocol loop itself parses on the
-        parse thread via :meth:`_submit_async` instead.
+        the job queued forever.
         """
-        self._check_quota(client)
-        request, key = self._parse_spec(spec)
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            try:
-                running = asyncio.get_running_loop()
-            except RuntimeError:
-                running = None
-            if running is not loop:
-                return asyncio.run_coroutine_threadsafe(
-                    self._admit_on_loop(request, key, priority, spec, client), loop
-                ).result(timeout=timeout)
-        return self.admit(request, key, priority, spec=spec, client=client)
+        if self._loop is None or not self._loop.is_running():
+            raise ServiceError("service is not running")
+        with contextlib.suppress(RuntimeError):  # no loop in this thread
+            if asyncio.get_running_loop() is self._loop:
+                # Blocking here would deadlock the loop the submit needs.
+                raise ServiceError("on the service's loop, await op_submit()")
+        msg = {"op": "submit", "job": spec, "priority": priority, "client": client}
+        return asyncio.run_coroutine_threadsafe(
+            self.op_submit(msg), self._loop
+        ).result(timeout=timeout)
 
-    async def _admit_on_loop(self, request, key, priority: int,
-                             spec=None, client=None) -> Dict[str, Any]:
-        return self.admit(request, key, priority, spec=spec, client=client)
+    async def op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """Parse and admit one job spec; returns the wire reply.
 
-    async def _submit_async(
-        self, msg: Dict[str, Any], peer: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """The protocol loop's submit: every check of :meth:`admit`,
-        but a spec this process already parsed is not parsed again
-        unless its result has left the cache.
+        Raises :class:`QueueFullError` (backpressure, quota) and
+        :class:`ServiceError` (bad spec or priority).  A spec this
+        process already parsed is not parsed again unless its result has
+        left the cache: the memo is only consulted when there is a cache
+        for its key to hit, and the key it returns is one
+        :meth:`_parse_spec` produced here for a byte-identical spec — so
+        a hit proves the spec valid and is admitted born-done without a
+        :class:`DetectionRequest` ever being built.
 
-        The memo is only consulted when there is a cache for its key to
-        hit; the key it returns is one :meth:`_parse_spec` produced
-        here for a byte-identical spec, so a hit proves the spec valid
-        and is admitted born-done without a :class:`DetectionRequest`
-        ever being built.
+        ``deadline`` (seconds of client budget left) arms work-shedding:
+        a queued job whose budget expires before a worker reaches it
+        fails with ``deadline-exceeded`` instead of burning chains for a
+        client that already gave up.  ``trace`` parents the run's engine
+        spans under the submitter's span.
         """
-        client = msg.get("client") or peer
+        client = msg.get("client")
         self._check_quota(client)
         spec = msg.get("job")
         fingerprint = key = request = None
         if self.cache is not None:
             fingerprint, key = self._spec_memo.lookup(spec)
         if key is None:
-            request, key = await self._parse_on_thread(spec)
+            request, key = await self._parse(self._parse_spec, spec)
             self._spec_memo.remember(fingerprint, key)
         job = self._new_job(request, key, msg.get("priority", 0),
                             deadline=msg.get("deadline"),
@@ -426,42 +334,7 @@ class DetectionService:
         if hit is not None:
             return self._admit_done(job, hit)
         if request is None:  # memoised key, evicted result: parse after all
-            job.request, _ = await self._parse_on_thread(spec)
-        return self._enqueue(job, spec, client)
-
-    def admit(
-        self,
-        request,
-        key,
-        priority: int = 0,
-        spec: Optional[Dict[str, Any]] = None,
-        client: Optional[str] = None,
-        job_id: Optional[str] = None,
-        already_logged: bool = False,
-        deadline: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Admit a parsed request; returns the wire reply.
-
-        Raises :class:`QueueFullError` (backpressure) and
-        :class:`ServiceError` (bad priority) for the handler to map
-        onto error replies.  When a job log is configured and *spec* is
-        given, queued admissions are recorded for restart replay (cache
-        hits are not — they are already complete); *job_id* /
-        *already_logged* are the replay path re-admitting a logged job
-        under its original identity.  *deadline* (seconds of client
-        budget left, from the wire) arms work-shedding: a queued job
-        whose budget expires before a worker reaches it fails with
-        ``deadline-exceeded`` instead of burning chains for a client
-        that already gave up.  *trace_id* parents the run's engine
-        spans under the submitter's span.
-        """
-        job = self._new_job(request, key, priority, job_id=job_id,
-                            already_logged=already_logged,
-                            deadline=deadline, trace_id=trace_id)
-        hit = self._cache_lookup(key)
-        if hit is not None:
-            return self._admit_done(job, hit)
+            job.request, _ = await self._parse(self._parse_spec, spec)
         return self._enqueue(job, spec, client)
 
     def _new_job(
@@ -475,7 +348,8 @@ class DetectionService:
         trace_id: Optional[str] = None,
     ) -> Job:
         """Validate the per-submit fields and build the (unregistered)
-        job; see :meth:`admit` for what each one means."""
+        job; *job_id* / *already_logged* are the replay path re-admitting
+        a logged job under its original identity."""
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ServiceError(f"priority must be an integer, got {priority!r}")
         job = Job(request=request, key=key, priority=priority)
@@ -514,12 +388,13 @@ class DetectionService:
         self._finish(job, JobState.DONE,
                      {"event": "result", "cached": True,
                       "result": result_to_json(hit)})
-        self._register(job)
+        self._register(job.id, job)
         return {"ok": True, "job_id": job.id, "cached": True, "state": job.state.value}
 
     def _enqueue(self, job: Job, spec: Optional[Dict[str, Any]],
                  client: Optional[str]) -> Dict[str, Any]:
-        """A miss queues the job (and logs it for restart replay)."""
+        """A miss queues the job (and logs it for restart replay; cache
+        hits are not logged — they are already complete)."""
         try:
             self._queue.put(job)  # raises QueueFullError when at capacity
         except QueueFullError:
@@ -533,7 +408,7 @@ class DetectionService:
         self.n_submitted += 1
         self._count_submission("queued")
         job.publish({"event": "state", "state": JobState.QUEUED.value})
-        self._register(job)
+        self._register(job.id, job)
         return {
             "ok": True,
             "job_id": job.id,
@@ -542,8 +417,9 @@ class DetectionService:
             "queue_depth": self._queue.depth,
         }
 
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        job = self._job(job_id)
+    # -- job control (loop thread) ---------------------------------------------
+    async def op_cancel(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        job = self._job(msg.get("job_id"))
         if job.terminal:
             return {"ok": True, "job_id": job.id, "state": job.state.value,
                     "cancelled": job.state is JobState.CANCELLED}
@@ -556,8 +432,8 @@ class DetectionService:
         return {"ok": True, "job_id": job.id, "state": job.state.value,
                 "cancelled": False, "cancel_requested": True}
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return {"ok": True, **self._job(job_id).status()}
+    async def op_status(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ok": True, **self._job(msg.get("job_id")).status()}
 
     def stats(self) -> Dict[str, Any]:
         states: Dict[str, int] = {state.value: 0 for state in JobState}
@@ -586,44 +462,35 @@ class DetectionService:
             "stage_latency": self._stage_latency_doc(),
             "cache": self.cache.summary() if self.cache is not None else None,
         }
-        if self.quota is not None:
-            doc["quota"] = self.quota.snapshot()
-        if self.job_log is not None:
-            # Cheap fields only: stats is the health-probe op, polled
-            # every probe interval — no full log scan here.
-            doc["job_log"] = {
-                "path": str(self.job_log.path),
-                "n_appended": self.job_log.n_appended,
-                "n_compactions": self.job_log.n_compactions,
-            }
-        return doc
+        return self._admission_stats(doc)
 
-    def metrics(self, include_spans: bool = False) -> Dict[str, Any]:
+    async def op_metrics(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """The ``op:metrics`` document: this instance's registry merged
-        with the process-wide engine registry, as exposition JSON."""
+        with the process-wide engine registry, as exposition JSON; with
+        ``spans``, the recent-span ring too."""
         doc: Dict[str, Any] = {
             "ok": True,
             "role": "service",
             "node_id": self.node_id,
             "metrics": render_json(self.obs, get_registry()),
         }
-        if include_spans:
+        if msg.get("spans"):
             doc["spans"] = recent_spans(64)
         return doc
 
-    def trace_doc(self, trace_id: Any = None,
-                  job_id: Any = None) -> Dict[str, Any]:
+    async def op_trace(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """The ``op:trace`` document: this process's buffered spans for
         one trace, plus a wall-clock sample for skew estimation.
 
         The router calls this on every backend a job touched and
-        merges the replies under its own submit span; *trace_id* is
-        the router's submit span id (the key the backend buffered
-        under, via :func:`repro.obs.remote_parent`).  A local *job_id*
+        merges the replies under its own submit span; ``trace`` is the
+        router's submit span id (the key the backend buffered under,
+        via :func:`repro.obs.remote_parent`).  A local ``job_id``
         resolves through the job table instead.
         """
-        if not trace_id and job_id is not None:
-            trace_id = self._job(job_id).trace_id
+        trace_id = msg.get("trace")
+        if not trace_id and msg.get("job_id") is not None:
+            trace_id = self._job(msg.get("job_id")).trace_id
         spans = trace_spans(str(trace_id)) if trace_id else []
         return {
             "ok": True,
@@ -633,23 +500,6 @@ class DetectionService:
             "spans": spans,
             "now": time.time(),
         }
-
-    def _job(self, job_id: Any) -> Job:
-        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            raise JobNotFoundError(f"unknown job id {job_id!r}")
-        return job
-
-    def _register(self, job: Job) -> None:
-        self._jobs[job.id] = job
-        while len(self._jobs) > self.job_retention:
-            # Forget the oldest *terminal* job; never drop live ones.
-            for jid, old in self._jobs.items():
-                if old.terminal:
-                    del self._jobs[jid]
-                    break
-            else:
-                break
 
     def _finish(self, job: Job, state: JobState, event: Dict[str, Any]) -> None:
         job.state = state
@@ -782,74 +632,13 @@ class DetectionService:
             raise ServiceError("engine stream ended without a result")
         return result
 
-    # -- protocol loop ---------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if isinstance(peername, tuple) else None
-        self._connections.add(writer)
-        self._accepted.inc()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # line over MAX_LINE_BYTES
-                    writer.write(encode_line(
-                        {"ok": False, "error": "bad-request",
-                         "message": "protocol line too long"}))
-                    await writer.drain()
-                    break
-                if not line.strip():
-                    if not line:
-                        break  # EOF
-                    continue
-                try:
-                    msg = decode_line(line)
-                    op = msg.get("op")
-                    if op == "stream":
-                        await self._stream_job(msg.get("job_id"), writer)
-                        continue
-                    if op == "submit":
-                        reply = await self._submit_async(msg, peer)
-                    else:
-                        reply = self._dispatch_op(op, msg)
-                except ServiceError as exc:
-                    reply = error_reply(exc)
-                if self.response_delay > 0:
-                    await asyncio.sleep(self.response_delay)
-                writer.write(encode_line(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    def _dispatch_op(self, op: Any, msg: Dict[str, Any]) -> Dict[str, Any]:
-        if op == "status":
-            return self.status(msg.get("job_id"))
-        if op == "cancel":
-            return self.cancel(msg.get("job_id"))
-        if op == "stats":
-            return {"ok": True, **self.stats()}
-        if op == "metrics":
-            return self.metrics(include_spans=bool(msg.get("spans")))
-        if op == "trace":
-            return self.trace_doc(trace_id=msg.get("trace"),
-                                  job_id=msg.get("job_id"))
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        raise ServiceError(f"unknown op {op!r}")
-
+    # -- streaming -------------------------------------------------------------
     async def job_events(self, job_id: Any):
         """All of one job's stream documents, ack first: replay the
         job's history, then follow live until a terminal event.
 
         The single stream implementation behind both transports — the
-        TCP ``op: stream`` proxy writes each yielded document as a
+        TCP ``op: stream`` relay writes each yielded document as a
         JSON line, the HTTP gateway frames the *same* documents as SSE
         ``data:`` payloads — which is what keeps the two byte-identical.
         Raises :class:`JobNotFoundError` before the first yield for an
@@ -868,59 +657,8 @@ class DetectionService:
         finally:
             job.unsubscribe(events)
 
-    async def _stream_job(self, job_id: Any, writer: asyncio.StreamWriter) -> None:
-        """``op: stream`` — proxy :meth:`job_events` onto the wire; the
-        connection then returns to the request/reply loop."""
-        events = self.job_events(job_id)
-        try:
-            async for doc in events:
-                writer.write(encode_line(doc))
-                await writer.drain()
-        finally:
-            await events.aclose()
-
 
 # -- embedding helpers ---------------------------------------------------------
-
-class LoopHandle:
-    """A server object running on a private event loop in a daemon
-    thread.  The object must expose an ``address`` property and an
-    ``async stop()``; subclasses add a named attribute for it.  Shared
-    by the service's :class:`ServiceHandle` and the cluster router's
-    :class:`~repro.cluster.router.RouterHandle`.
-    """
-
-    def __init__(self, obj: Any, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self._obj = obj
-        self._loop = loop
-        self._thread = thread
-        self._stopped = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        future = asyncio.run_coroutine_threadsafe(self._address(), self._loop)
-        return future.result(timeout=5)
-
-    async def _address(self) -> Tuple[str, int]:
-        return self._obj.address
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        asyncio.run_coroutine_threadsafe(
-            self._obj.stop(), self._loop
-        ).result(timeout=timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "LoopHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
 
 class ServiceHandle(LoopHandle):
     """A service running on a private event loop in a daemon thread.
@@ -936,56 +674,6 @@ class ServiceHandle(LoopHandle):
         self.service = service
 
 
-def run_background_loop(factory, thread_name: str, error_cls, what: str):
-    """Construct ``obj = factory()``, await ``obj.start()`` on a fresh
-    event loop in a daemon thread, and return ``(obj, loop, thread)``
-    once start completes (socket bound, replay registered).  The one
-    background-runner implementation behind :func:`serve_background`
-    and the router's ``router_background``."""
-    started = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            obj = factory()
-            loop.run_until_complete(obj.start())
-        except BaseException as exc:  # surface bind/config errors
-            box["error"] = exc
-            started.set()
-            loop.close()
-            return
-        box["obj"] = obj
-        box["loop"] = loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            # Unwind lingering handler tasks (open connections at stop
-            # time) so nothing dies noisily at GC with a closed loop;
-            # teardown-window callbacks (asyncio's stream protocol reads
-            # .exception() off cancelled tasks) are deliberately quiet.
-            loop.set_exception_handler(lambda _loop, _ctx: None)
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(target=runner, name=thread_name, daemon=True)
-    thread.start()
-    if not started.wait(timeout=15):
-        raise error_cls(f"{what} failed to start within 15s")
-    if "error" in box:
-        raise error_cls(f"{what} failed to start: {box['error']}")
-    return box["obj"], box["loop"], thread
-
-
 def serve_background(**kwargs: Any) -> ServiceHandle:
     """Start a :class:`DetectionService` on a fresh loop in a daemon
     thread; returns once the socket is bound."""
@@ -996,25 +684,14 @@ def serve_background(**kwargs: Any) -> ServiceHandle:
     return ServiceHandle(service, loop, thread)
 
 
+def _banner(service: DetectionService) -> str:
+    host, port = service.address
+    return (f"repro service listening on {host}:{port} "
+            f"({service.workers} workers, queue {service._queue.max_pending}"
+            f"{', cached' if service.cache is not None else ''}"
+            f"{', durable' if service.job_log is not None else ''})")
+
+
 def serve_forever(**kwargs: Any) -> None:
     """Run a service in the foreground until interrupted (the CLI path)."""
-
-    async def main() -> None:
-        service = DetectionService(**kwargs)
-        await service.start()
-        host, port = service.address
-        # flush: cluster harnesses parse this line to learn the port.
-        print(f"repro service listening on {host}:{port} "
-              f"({service.workers} workers, queue {service._queue.max_pending}"
-              f"{', cached' if service.cache is not None else ''}"
-              f"{', durable' if service.job_log is not None else ''})",
-              flush=True)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("service stopped")
+    run_forever(lambda: DetectionService(**kwargs), _banner, "service stopped")

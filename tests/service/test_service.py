@@ -2,6 +2,7 @@
 parity with direct engine runs, queue-full backpressure, cache hits
 served without re-dispatch."""
 
+import asyncio
 import time
 
 import pytest
@@ -231,6 +232,14 @@ class TestEmbeddingApi:
         with ServiceClient(*service.address) as client:
             doc = wait_terminal(client, reply["job_id"], timeout=30.0)
         assert doc["state"] == "done"
+
+    def test_submit_on_the_loop_refuses_instead_of_deadlocking(self, service):
+        async def on_loop():
+            with pytest.raises(ServiceError, match="op_submit"):
+                service.service.submit(job_spec(seed=0))
+
+        asyncio.run_coroutine_threadsafe(
+            on_loop(), service._loop).result(timeout=10)
 
 
 class TestPriorities:
