@@ -12,8 +12,8 @@ one (no boundary duplicates/losses).
 
 
 from conftest import emit
-from repro.core.blind_pipeline import run_blind_pipeline
 from repro.core.evaluation import evaluate_model
+from repro.engine import run
 from repro.mcmc import MarkovChain, MoveGenerator, PosteriorState
 from repro.utils.tables import Table
 
@@ -28,11 +28,10 @@ def run_experiment(workload):
     chain = MarkovChain(post, MoveGenerator(workload.model, workload.moves), seed=7)
     seq = chain.run(ITERS_FULL)
 
-    pipeline = run_blind_pipeline(
-        workload.scene.image, workload.model, workload.moves,
-        iterations_per_partition=ITERS_PART, nx=2, ny=2,
-        overlap_factor=1.1, theta=workload.threshold, seed=8,
-    )
+    pipeline = run(workload.request(
+        "blind", iterations=ITERS_PART, seed=8,
+        options={"nx": 2, "ny": 2, "overlap_factor": 1.1},
+    ))
     return seq, pipeline
 
 
@@ -40,20 +39,21 @@ def test_fig4_blind(benchmark, capsys, beads):
     seq, pipeline = benchmark.pedantic(
         run_experiment, args=(beads,), iterations=1, rounds=1
     )
-    rel = pipeline.relative_runtimes(seq.elapsed_seconds)
+    rel = [p.elapsed_seconds / seq.elapsed_seconds for p in pipeline.reports]
 
     t = Table(
         "Fig. 4 / §IX — blind partitioning (2×2, overlap 1.1·r̄)",
         ["quadrant", "paper rel runtime", "measured rel runtime", "est # obj"],
         precision=3,
     )
-    for k, (r, est) in enumerate(zip(rel, pipeline.est_counts)):
-        t.add_row([f"Q{k}", PAPER_QUADRANTS[k], r, est])
-    total = pipeline.longest_partition_seconds() / seq.elapsed_seconds
+    for k, (r, p) in enumerate(zip(rel, pipeline.reports)):
+        t.add_row([f"Q{k}", PAPER_QUADRANTS[k], r, p.expected_count])
+    # One processor per quadrant: the procedure costs its slowest quadrant.
+    total = max(rel)
     t.add_row(["whole procedure (4 procs)", 0.27, total, None])
     emit(capsys, t.render())
 
-    merge = pipeline.merge_report
+    merge = pipeline.merge
     emit(capsys, (
         f"merge report: auto={merge.n_auto_accepted} merged={merge.n_merged} "
         f"corroborated={merge.n_corroborated} disputed_kept={merge.n_disputed_kept} "

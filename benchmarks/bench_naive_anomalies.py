@@ -13,9 +13,8 @@ cuts; blind partitioning's merge heuristics remove them.
 
 
 from conftest import emit
-from repro.core.blind_pipeline import run_blind_pipeline
-from repro.core.evaluation import anomalies_near_lines
-from repro.core.naive import run_naive_partitioning
+from repro.core.evaluation import anomalies_near_lines, cut_lines
+from repro.engine import DetectionRequest, run
 from repro.geometry.circle import Circle
 from repro.imaging.density import estimate_count
 from repro.imaging.filters import threshold_filter
@@ -57,18 +56,20 @@ def run_experiment():
     mc = MoveConfig()
     set_worker_image(filtered.pixels)
 
-    naive = run_naive_partitioning(
-        scene.image, spec, mc, iterations_per_tile=ITERS_TILE, nx=2, ny=2, seed=1
-    )
-    blind = run_blind_pipeline(
-        scene.image, spec, mc, iterations_per_partition=ITERS_TILE,
-        nx=2, ny=2, theta=0.4, seed=2,
-    )
+    naive = run(DetectionRequest(
+        image=scene.image, spec=spec, move_config=mc, iterations=ITERS_TILE,
+        strategy="naive", executor="serial", seed=1, options={"nx": 2, "ny": 2},
+    ))
+    blind = run(DetectionRequest(
+        image=scene.image, spec=spec, move_config=mc, iterations=ITERS_TILE,
+        strategy="blind", executor="serial", seed=2,
+        options={"nx": 2, "ny": 2, "theta": 0.4},
+    ))
     post = PosteriorState(filtered, spec)
     chain = MarkovChain(post, MoveGenerator(spec, mc), seed=3)
     chain.run(4 * ITERS_TILE)
 
-    lines = naive.cut_lines()
+    lines = cut_lines([r.rect for r in naive.reports])
     band = 12.0
     return scene, lines, band, {
         "naive": naive.circles,

@@ -16,8 +16,10 @@ with relative runtime far above the other two, and the overall saving
 
 from conftest import emit
 from repro.core.evaluation import evaluate_model
-from repro.core.intelligent_pipeline import run_intelligent_pipeline
+from repro.engine import run
+from repro.imaging.density import estimate_count, estimate_count_by_area
 from repro.mcmc import MarkovChain, MoveGenerator, PosteriorState
+from repro.mcmc.diagnostics import convergence_iteration
 from repro.utils.tables import Table
 
 ITERS_FULL = 30_000
@@ -31,11 +33,9 @@ def run_experiment(workload):
                         seed=5, record_every=100)
     seq = chain.run(ITERS_FULL)
 
-    pipeline = run_intelligent_pipeline(
-        workload.scene.image, workload.model, workload.moves,
-        iterations_per_partition=ITERS_PART, theta=workload.threshold,
-        min_gap=14, seed=6,
-    )
+    pipeline = run(workload.request(
+        "intelligent", iterations=ITERS_PART, seed=6, options={"min_gap": 14},
+    ))
     return seq, post, pipeline
 
 
@@ -43,9 +43,9 @@ def test_table1(benchmark, capsys, beads):
     seq, seq_post, pipeline = benchmark.pedantic(
         run_experiment, args=(beads,), iterations=1, rounds=1
     )
-    from repro.mcmc.diagnostics import convergence_iteration
-
-    image_area = beads.filtered.bounds.area
+    bounds = beads.filtered.bounds
+    image_area = bounds.area
+    whole = estimate_count(beads.filtered, 0.5, beads.model.radius_mean)
     seq_conv = convergence_iteration(seq.posterior_trace)
     seq_runtime = seq.elapsed_seconds
 
@@ -63,29 +63,31 @@ def test_table1(benchmark, capsys, beads):
         beads.model.expected_count, seq.seconds_per_iteration, seq_conv,
         seq_runtime, 1.0,
     ])
-    for k, p in enumerate(pipeline.partitions):
+    for k, p in enumerate(pipeline.reports):
         visual = sum(
             1 for c in beads.scene.circles if p.rect.contains_point(c.x, c.y)
         )
         t.add_row([
-            chr(ord("A") + k), p.area, p.relative_area, visual,
-            p.est_count_density, p.est_count_threshold,
-            p.seconds_per_iteration, p.convergence_iteration(),
-            p.runtime_seconds, p.runtime_seconds / seq_runtime,
+            chr(ord("A") + k), p.rect.area, p.rect.area / image_area, visual,
+            estimate_count_by_area(whole, p.rect, bounds=bounds),
+            p.expected_count, p.seconds_per_iteration, p.converged_at,
+            p.elapsed_seconds, p.elapsed_seconds / seq_runtime,
         ])
     emit(capsys, t.render())
 
     # --- paper shapes ---------------------------------------------------
-    rels = sorted(p.runtime_seconds / seq_runtime for p in pipeline.partitions)
+    rels = sorted(p.elapsed_seconds / seq_runtime for p in pipeline.reports)
     # One dominant partition, at least 3x the next (paper: 0.90 vs 0.07/0.02).
     assert rels[-1] > 2.0 * rels[-2]
     # eq. (5) estimates track the visual counts far better than the
     # area-scaled ones on clumped data (the §VIII prior-allocation point).
     err_thresh = err_density = 0.0
-    for p in pipeline.partitions:
+    for p in pipeline.reports:
         visual = sum(1 for c in beads.scene.circles if p.rect.contains_point(c.x, c.y))
-        err_thresh += abs(p.est_count_threshold - visual)
-        err_density += abs(p.est_count_density - visual)
+        err_thresh += abs(p.expected_count - visual)
+        err_density += abs(
+            estimate_count_by_area(whole, p.rect, bounds=bounds) - visual
+        )
     assert err_thresh < err_density
     # Detection quality maintained.
     report = evaluate_model(pipeline.circles, beads.scene.circles)

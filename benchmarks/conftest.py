@@ -2,12 +2,12 @@
 
 Benchmarks regenerate the paper's tables and figures.  Heavy MCMC work
 runs once per experiment via ``benchmark.pedantic(..., rounds=1)``;
-every benchmark prints a paper-vs-measured report so the harness output
-(captured into bench_output.txt) doubles as the EXPERIMENTS.md evidence.
+every benchmark prints a paper-vs-measured report and asserts the
+paper's *shape* (which scheme wins, which partition dominates) rather
+than its absolute numbers.
 
 Workloads are scaled down from the paper's 1024² / 500k-iteration runs
-so the whole suite finishes in minutes; DESIGN.md §4 records why shapes
-survive scaling.
+so the whole suite finishes in minutes.
 """
 
 from __future__ import annotations

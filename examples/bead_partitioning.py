@@ -24,6 +24,7 @@ from repro.bench.workloads import bead_workload
 from repro.core.evaluation import evaluate_model
 from repro.engine import run
 from repro.imaging import Image, threshold_filter, write_pgm
+from repro.imaging.density import estimate_count, estimate_count_by_area
 from repro.partitioning.blind import blind_partitions
 from repro.partitioning.intelligent import segment_image
 from repro.utils.tables import Table
@@ -62,18 +63,21 @@ def main() -> None:
     print(f"intelligent pre-processor found {len(seg)} partitions")
     result = run(workload.request(
         "intelligent", iterations=ITERS, seed=1, options={"min_gap": 14},
-    )).raw
+    ))
+    bounds = scene.image.bounds
+    whole = estimate_count(filtered, 0.5, model.radius_mean)
     t = Table(
         "Intelligent partitioning (Table I layout)",
         ["partition", "rel area", "# obj visual", "# obj density",
          "# obj thresh", "t/iter (s)", "runtime (s)"],
         precision=3,
     )
-    for k, p in enumerate(result.partitions):
+    for k, p in enumerate(result.reports):
         visual = sum(1 for c in scene.circles if p.rect.contains_point(c.x, c.y))
-        t.add_row([chr(ord("A") + k), p.relative_area, visual,
-                   p.est_count_density, p.est_count_threshold,
-                   p.seconds_per_iteration, p.runtime_seconds])
+        t.add_row([chr(ord("A") + k), p.rect.area / bounds.area, visual,
+                   estimate_count_by_area(whole, p.rect, bounds=bounds),
+                   p.expected_count, p.seconds_per_iteration,
+                   p.elapsed_seconds])
     print(t.render())
     rep = evaluate_model(result.circles, scene.circles)
     print(f"intelligent pipeline: F1 {rep.f1:.2f} "
@@ -90,11 +94,10 @@ def main() -> None:
     blind = run(workload.request(
         "blind", iterations=ITERS, seed=2,
         options={"nx": 2, "ny": 2, "overlap_factor": 1.1},
-    )).raw
-    runtimes = blind.partition_runtimes()
+    ))
     print("blind partitioning quadrant runtimes (s):",
-          " ".join(f"{r:.2f}" for r in runtimes))
-    merge = blind.merge_report
+          " ".join(f"{r.elapsed_seconds:.2f}" for r in blind.reports))
+    merge = blind.merge
     print(f"merge: auto={merge.n_auto_accepted} merged={merge.n_merged} "
           f"corroborated={merge.n_corroborated} "
           f"disputed kept={merge.n_disputed_kept} "

@@ -16,7 +16,7 @@ method's do not.
 Run:  python examples/naive_anomalies.py
 """
 
-from repro.core.evaluation import anomalies_near_lines
+from repro.core.evaluation import anomalies_near_lines, cut_lines
 from repro.engine import DetectionRequest, run
 from repro.geometry.circle import Circle
 from repro.imaging.density import estimate_count
@@ -60,17 +60,17 @@ def main() -> None:
     naive = run(DetectionRequest(
         image=scene.image, spec=spec, move_config=mc, iterations=ITERS,
         strategy="naive", executor="serial", seed=1,
-    )).raw
+    ))
     print("running blind partitioning (2x2 with overlap + merge)...")
     blind = run(DetectionRequest(
         image=scene.image, spec=spec, move_config=mc, iterations=ITERS,
         strategy="blind", executor="serial", seed=2, options={"theta": 0.4},
-    )).raw
+    ))
     print("running the sequential reference...")
     post = PosteriorState(filtered, spec)
     MarkovChain(post, MoveGenerator(spec, mc), seed=3).run(4 * ITERS)
 
-    lines = naive.cut_lines()
+    lines = cut_lines([r.rect for r in naive.reports])
     t = Table(
         "Boundary anomaly accounting (band = 12 px around each cut line)",
         ["method", "found", "f1", "spurious@cut", "missed@cut",

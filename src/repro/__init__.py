@@ -9,8 +9,8 @@ contributions:
   valid data-parallel MCMC via alternating global/local move phases;
 * the **runtime prediction model** (`repro.core.theory`, eqs. 2–4);
 * **intelligent** and **blind image partitioning**
-  (`repro.core.intelligent_pipeline`, `repro.core.blind_pipeline`) —
-  aggressive, not-statistically-pure divide and conquer;
+  (`repro.engine.strategies`) — aggressive, not-statistically-pure
+  divide and conquer;
 * **speculative moves** (`repro.mcmc.speculative`, the companion
   method of ref. [11]) and the **(MC)³** related-work baseline
   (`repro.mcmc.mc3`).
@@ -26,8 +26,7 @@ Quick start::
     scene, found, report = quickstart_detect(seed=0)
     print(report.f1)
 
-See README.md for the full tour and DESIGN.md / EXPERIMENTS.md for the
-reproduction methodology.
+See README.md for the full tour.
 """
 
 from repro._version import __version__

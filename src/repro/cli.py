@@ -130,20 +130,24 @@ def _run_table1(seed: int) -> None:
     from repro.bench.workloads import bead_workload
     from repro.core.evaluation import evaluate_model
     from repro.engine import run
+    from repro.imaging.density import estimate_count, estimate_count_by_area
 
     workload = bead_workload(scale=0.5)
     print("running intelligent partitioning on the bead image "
           f"({workload.n_truth} beads)...")
     result = run(workload.request(
         "intelligent", iterations=10_000, seed=seed, options={"min_gap": 14},
-    )).raw
+    ))
+    bounds = workload.scene.image.bounds
+    whole = estimate_count(workload.filtered, 0.5, workload.model.radius_mean)
     t = Table("Table I layout — intelligent partitioning",
               ["partition", "rel area", "# obj density", "# obj thresh",
                "t/iter (s)", "runtime (s)"], precision=3)
-    for k, p in enumerate(result.partitions):
-        t.add_row([chr(ord("A") + k), p.relative_area, p.est_count_density,
-                   p.est_count_threshold, p.seconds_per_iteration,
-                   p.runtime_seconds])
+    for k, p in enumerate(result.reports):
+        t.add_row([chr(ord("A") + k), p.rect.area / bounds.area,
+                   estimate_count_by_area(whole, p.rect, bounds=bounds),
+                   p.expected_count, p.seconds_per_iteration,
+                   p.elapsed_seconds])
     print(t.render())
     rep = evaluate_model(result.circles, workload.scene.circles)
     print(f"detection F1: {rep.f1:.2f}")
@@ -156,14 +160,13 @@ def _run_fig4(seed: int) -> None:
 
     workload = bead_workload(scale=0.5)
     print("running blind partitioning (2×2, overlap 1.1·r̄)...")
-    result = run(workload.request("blind", iterations=8_000, seed=seed)).raw
-    runtimes = result.partition_runtimes()
+    result = run(workload.request("blind", iterations=8_000, seed=seed))
     t = Table("Fig. 4 — blind partitioning quadrants",
               ["quadrant", "runtime (s)", "est # obj"], precision=3)
-    for k, (rt, est) in enumerate(zip(runtimes, result.est_counts)):
-        t.add_row([f"Q{k}", rt, est])
+    for k, p in enumerate(result.reports):
+        t.add_row([f"Q{k}", p.elapsed_seconds, p.expected_count])
     print(t.render())
-    m = result.merge_report
+    m = result.merge
     print(f"merge: auto={m.n_auto_accepted} merged={m.n_merged} "
           f"corroborated={m.n_corroborated} disputed_kept={m.n_disputed_kept} "
           f"rescued={m.n_rescued}")

@@ -97,6 +97,7 @@ from repro.service.protocol import (
     TERMINAL_EVENTS,
     decode_line,
     request_from_wire,
+    submit_fields,
 )
 
 __all__ = [
@@ -671,21 +672,14 @@ class ShardRouter(JobServer):
     async def op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         client = msg.get("client")
         self._check_quota(client)
-        priority = msg.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ServiceError(f"priority must be an integer, got {priority!r}")
+        priority, deadline_at, wire_trace = submit_fields(msg)
         spec = msg.get("job")
         if not isinstance(spec, dict):
             raise ServiceError("submit needs a 'job' object")
-        deadline = msg.get("deadline")
-        deadline_at = None
-        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
-            deadline_at = time.monotonic() + max(0.0, float(deadline))
-        wire_trace = msg.get("trace")
         # The routing span parents under the submitter's wire span (if
         # any) and its own id rides to the backend, so a cluster-wide
         # scrape shows client → router → backend as one span tree.
-        with remote_parent(wire_trace if isinstance(wire_trace, str) else None):
+        with remote_parent(wire_trace):
             with trace("cluster.submit", registry=self.obs,
                        node=self.node_id) as span:
                 key = await self._routing_key(spec)

@@ -1,5 +1,5 @@
-"""The paper's contributions: periodic partitioning, the runtime model,
-and the two aggressive partitioning pipelines.
+"""The paper's mechanisms: periodic partitioning, the runtime model,
+the sub-image chains partitioned schemes run, and result evaluation.
 
 * :mod:`repro.core.theory` — eqs. (2)–(4): predicted runtimes for
   periodic partitioning, optionally with speculative moves.
@@ -7,17 +7,15 @@ and the two aggressive partitioning pipelines.
   long-term move-proposal probabilities unchanged (§V).
 * :mod:`repro.core.periodic` — the periodic-partitioning sampler
   (statistically equivalent to conventional MCMC).
-* :mod:`repro.core.intelligent_pipeline` / :mod:`repro.core.blind_pipeline`
-  — the §VIII methods that trade statistical purity for speed.
-* :mod:`repro.core.naive` — the broken baseline the paper warns about,
-  kept for demonstrating the boundary anomalies.
+* :mod:`repro.core.subimage` — one independent chain over one
+  partition, the unit the tiled schemes (naive, blind, intelligent)
+  dispatch.
 * :mod:`repro.core.evaluation` — result-quality metrics against ground
-  truth.
+  truth, and boundary-anomaly accounting around partition cut lines.
 
-All four partitioning schemes are registered strategies of the unified
-detection engine (:mod:`repro.engine`) — the ``run_*`` functions here
-are compatibility shims that build a
-:class:`~repro.engine.schema.DetectionRequest` and delegate.
+All four partitioning schemes run as registered strategies of the
+detection engine: ``repro.engine.run(DetectionRequest(...,
+strategy="naive" | "blind" | "intelligent" | "periodic"))``.
 """
 
 from repro.core.theory import (
@@ -47,14 +45,12 @@ from repro.core.periodic import (
     single_point_partitioner,
     grid_partitioner,
 )
-from repro.core.intelligent_pipeline import (
-    IntelligentPipelineResult,
-    PartitionRunReport,
-    run_intelligent_pipeline,
+from repro.core.evaluation import (
+    MatchReport,
+    evaluate_model,
+    anomalies_near_lines,
+    cut_lines,
 )
-from repro.core.blind_pipeline import BlindPipelineResult, run_blind_pipeline
-from repro.core.naive import NaiveResult, run_naive_partitioning
-from repro.core.evaluation import MatchReport, evaluate_model, anomalies_near_lines
 
 __all__ = [
     "eq2_runtime",
@@ -76,14 +72,8 @@ __all__ = [
     "PeriodicResult",
     "single_point_partitioner",
     "grid_partitioner",
-    "IntelligentPipelineResult",
-    "PartitionRunReport",
-    "run_intelligent_pipeline",
-    "BlindPipelineResult",
-    "run_blind_pipeline",
-    "NaiveResult",
-    "run_naive_partitioning",
     "MatchReport",
     "evaluate_model",
     "anomalies_near_lines",
+    "cut_lines",
 ]

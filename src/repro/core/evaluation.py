@@ -15,9 +15,10 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.circle import Circle
+from repro.geometry.rect import Rect
 from repro.partitioning.merge import match_circles
 
-__all__ = ["MatchReport", "evaluate_model", "anomalies_near_lines"]
+__all__ = ["MatchReport", "evaluate_model", "anomalies_near_lines", "cut_lines"]
 
 
 @dataclass
@@ -84,6 +85,15 @@ def evaluate_model(
     )
 
 
+def cut_lines(rects: Sequence[Rect]) -> List[Tuple[str, float]]:
+    """The interior edges of a grid of partition *rects* — e.g. the
+    report rects of a naive run — as ('v'|'h', coordinate) pairs, for
+    :func:`anomalies_near_lines`."""
+    xs = sorted({r.x0 for r in rects} | {r.x1 for r in rects})
+    ys = sorted({r.y0 for r in rects} | {r.y1 for r in rects})
+    return [("v", x) for x in xs[1:-1]] + [("h", y) for y in ys[1:-1]]
+
+
 def anomalies_near_lines(
     found: Sequence[Circle],
     truth: Sequence[Circle],
@@ -97,7 +107,7 @@ def anomalies_near_lines(
     ----------
     lines:
         Partition cut lines as ('v'|'h', coordinate) pairs
-        (:meth:`repro.core.naive.NaiveResult.cut_lines` produces these).
+        (:func:`cut_lines` produces these).
     band:
         Half-width of the boundary band: a circle is "near" a line when
         its centre is within *band* of it.

@@ -19,15 +19,18 @@ change instead of a different pipeline function per scheme::
     ))
     print(result.n_found, result.elapsed_seconds)
     for row in result.reports:           # identical shape for every strategy
-        print(row.rect, row.expected_count, row.n_found, row.elapsed_seconds)
-    table1 = result.raw                  # strategy-specific detail object
+        print(row.rect, row.expected_count, row.n_found, row.elapsed_seconds,
+              row.converged_at)
+    print(result.merge)                  # blind's merge counts, else None
 
 **The schema** (:mod:`repro.engine.schema`): a
 :class:`DetectionRequest` carries the image, model spec, move config,
 iteration budget, seed, and executor choice; a
 :class:`DetectionResult` carries the fitted circles, per-partition
 :class:`PartitionReport` rows common to all strategies, wall-clock,
-and the strategy's own richer result object under ``raw``.
+and blind partitioning's :class:`MergeCounts` — plain data that comes
+back equal from a fresh run, the memory cache, the disk cache, or the
+wire.
 
 **Executors**: a string choice (``serial``/``thread``/``process``) is
 constructed, context-managed, and shut down by the engine —
@@ -39,7 +42,8 @@ instance is used as-is and stays caller-owned.
 :class:`~repro.engine.orchestrator.TiledStrategy` if your scheme is
 "partition once, run independent chains, merge" — implement ``plan()``
 (tile rectangles + per-tile count estimates) and ``merge()`` (tile
-results → your result object with a ``circles`` attribute).  Subclass
+results → the merged circles, plus :class:`MergeCounts` if the merge
+reconciles overlaps, else ``None``).  Subclass
 :class:`~repro.engine.registry.Strategy` directly for anything else and
 implement ``execute()``.  Either way decorate with
 ``@register_strategy("your-name")`` and declare ``option_keys``; the
@@ -68,12 +72,6 @@ free::
     again = run_batch(batch, cache=cache)        # N cache hits, no work
     assert again.n_computed == 0
     print(cache.stats.hit_rate, out.executor_kind)
-
-The legacy entry points (:func:`repro.core.naive.run_naive_partitioning`,
-:func:`repro.core.blind_pipeline.run_blind_pipeline`,
-:func:`repro.core.intelligent_pipeline.run_intelligent_pipeline`)
-delegate here and return ``result.raw``, bit-identical to their
-pre-engine behaviour for a fixed seed.
 """
 
 from __future__ import annotations
@@ -109,6 +107,7 @@ from repro.engine.schema import (
     DetectionEvent,
     DetectionRequest,
     DetectionResult,
+    MergeCounts,
     PartitionReport,
     PartitionResultEvent,
     ResultEvent,
@@ -140,6 +139,7 @@ __all__ = [
     "BatchItemResult",
     "BatchResult",
     "PartitionReport",
+    "MergeCounts",
     "TilePlan",
     "StrategyOutput",
     "EXECUTOR_CHOICES",
@@ -225,7 +225,7 @@ def run(request: DetectionRequest) -> DetectionResult:
         elapsed_seconds=elapsed,
         executor_kind=output.executor_kind,
         n_tasks=output.n_tasks,
-        raw=output.raw,
+        merge=output.merge,
     )
 
 
@@ -275,5 +275,5 @@ def run_stream(request: DetectionRequest) -> _Iterator[DetectionEvent]:
         elapsed_seconds=elapsed,
         executor_kind=output.executor_kind,
         n_tasks=output.n_tasks,
-        raw=output.raw,
+        merge=output.merge,
     ))

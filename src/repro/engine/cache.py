@@ -8,12 +8,10 @@ identical runs are answered from memory (or disk) instead of recomputed.
 
 Two tiers:
 
-* an in-memory LRU (``max_entries``) holding complete results,
-  strategy-specific ``raw`` object included;
-* an optional on-disk JSON store (``directory``) holding the
-  engine-level schema — circles, per-partition reports, timing.  A
-  result revived from disk carries ``raw=None``: the strategy-specific
-  detail object is not portable JSON and is deliberately memory-only.
+* an in-memory LRU (``max_entries``) holding results;
+* an optional on-disk JSON store (``directory``) holding each result as
+  :func:`result_to_json` data.  Every :class:`DetectionResult` field
+  round-trips, so both tiers answer with equal values.
 
 On-disk entries are one file per key, so the store is safe to inspect,
 diff, and prune by hand; ``stats.json`` accumulates hit/miss counters
@@ -24,12 +22,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.engine.schema import DetectionResult, PartitionReport
+from repro.engine.schema import DetectionResult, MergeCounts, PartitionReport
 from repro.errors import EngineError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
@@ -43,11 +41,17 @@ def _count_cache(event: str) -> None:
         event=event,
     ).inc()
 
-__all__ = ["CacheStats", "ResultCache", "result_to_json", "result_from_json"]
+__all__ = [
+    "CacheStats",
+    "ResultCache",
+    "report_to_json",
+    "result_to_json",
+    "result_from_json",
+]
 
 #: Schema version stamped into every on-disk entry; bump on layout change
 #: and stale entries are treated as misses.
-DISK_SCHEMA_VERSION = 1
+DISK_SCHEMA_VERSION = 2
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 _STATS_FILE = "stats.json"
@@ -61,42 +65,43 @@ def _check_key(key: str) -> str:
     return key
 
 
-def result_to_json(result: DetectionResult) -> Dict[str, Any]:
-    """The engine-level schema of *result* as JSON-compatible data.
+def report_to_json(report: PartitionReport) -> Dict[str, Any]:
+    """One :class:`PartitionReport` as JSON-compatible data."""
+    return {
+        "rect": [report.rect.x0, report.rect.y0, report.rect.x1, report.rect.y1],
+        "expected_count": report.expected_count,
+        "n_found": report.n_found,
+        "iterations": report.iterations,
+        "elapsed_seconds": report.elapsed_seconds,
+        "converged_at": report.converged_at,
+    }
 
-    ``raw`` is dropped (strategy-specific, not portable); everything the
-    common :class:`DetectionResult` surface exposes survives the round
-    trip bit-identically (Python's JSON float encoding is shortest-
-    roundtrip, so coordinates come back exactly).
-    """
+
+def result_to_json(result: DetectionResult) -> Dict[str, Any]:
+    """*result* as JSON-compatible data that :func:`result_from_json`
+    turns back into an equal value (Python's JSON float encoding is
+    shortest-roundtrip, so coordinates come back exactly)."""
     return {
         "schema_version": DISK_SCHEMA_VERSION,
         "strategy": result.strategy,
         "circles": [[c.x, c.y, c.r] for c in result.circles],
-        "reports": [
-            {
-                "rect": [r.rect.x0, r.rect.y0, r.rect.x1, r.rect.y1],
-                "expected_count": r.expected_count,
-                "n_found": r.n_found,
-                "iterations": r.iterations,
-                "elapsed_seconds": r.elapsed_seconds,
-            }
-            for r in result.reports
-        ],
+        "reports": [report_to_json(r) for r in result.reports],
         "elapsed_seconds": result.elapsed_seconds,
         "executor_kind": result.executor_kind,
         "n_tasks": result.n_tasks,
+        "merge": None if result.merge is None else asdict(result.merge),
     }
 
 
 def result_from_json(data: Dict[str, Any]) -> DetectionResult:
-    """Rebuild a :class:`DetectionResult` (with ``raw=None``) from
-    :func:`result_to_json` output."""
+    """Rebuild a :class:`DetectionResult` from :func:`result_to_json`
+    output."""
     if data.get("schema_version") != DISK_SCHEMA_VERSION:
         raise EngineError(
             f"cache entry schema {data.get('schema_version')!r} != "
             f"{DISK_SCHEMA_VERSION}"
         )
+    merge = data["merge"]
     return DetectionResult(
         strategy=data["strategy"],
         circles=[Circle(x, y, r) for x, y, r in data["circles"]],
@@ -107,13 +112,14 @@ def result_from_json(data: Dict[str, Any]) -> DetectionResult:
                 n_found=row["n_found"],
                 iterations=row["iterations"],
                 elapsed_seconds=row["elapsed_seconds"],
+                converged_at=row["converged_at"],
             )
             for row in data["reports"]
         ],
         elapsed_seconds=data["elapsed_seconds"],
         executor_kind=data["executor_kind"],
         n_tasks=data["n_tasks"],
-        raw=None,
+        merge=None if merge is None else MergeCounts(**merge),
     )
 
 

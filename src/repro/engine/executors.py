@@ -1,8 +1,7 @@
 """Engine-owned executor lifecycle.
 
-The legacy pipelines each constructed their own executor (and never shut
-it down) and each repeated the shared-memory image plumbing.  Here both
-concerns live in one place: :func:`engine_executor` turns a request's
+Executor construction and the shared-memory image plumbing live in
+one place: :func:`engine_executor` turns a request's
 executor choice into a live, context-managed executor, doing the
 :class:`~repro.parallel.sharedmem.SharedImage` setup exactly once for
 process pools, and guaranteeing shutdown on exit.  A live

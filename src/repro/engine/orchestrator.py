@@ -5,7 +5,7 @@ shape — *estimate → build tasks → dispatch → merge* — and used to carr
 a private copy of it each.  :class:`TiledStrategy` owns that path once;
 a concrete strategy only says how to **plan** its partitions (geometry
 plus per-partition count estimates) and how to **merge** the
-per-partition chains' results back into its result object.
+per-partition chains' results back into one model.
 
 The periodic sampler is not tiled (its partitions change every cycle)
 so it implements :class:`~repro.engine.registry.Strategy` directly; see
@@ -43,6 +43,7 @@ from repro.engine.schema import (
     DetectionBatch,
     DetectionEvent,
     DetectionRequest,
+    MergeCounts,
     PartitionReport,
     PartitionResultEvent,
     StrategyOutput,
@@ -50,6 +51,7 @@ from repro.engine.schema import (
     TilePlannedEvent,
     request_key,
 )
+from repro.geometry.circle import Circle
 from repro.obs import get_registry as _obs_registry
 from repro.obs import record_span as _record_span
 from repro.parallel.sharedmem import set_worker_image
@@ -102,6 +104,18 @@ def _record_partition_span(
         proposal_batch=batch,
     )
 
+def _partition_report(tile: TilePlan, res: SubImageResult) -> PartitionReport:
+    """One tile's :class:`PartitionReport` from its finished chain."""
+    return PartitionReport(
+        rect=tile.rect,
+        expected_count=tile.expected_count,
+        n_found=len(res.circles),
+        iterations=res.iterations,
+        elapsed_seconds=res.elapsed_seconds,
+        converged_at=res.convergence_iteration(),
+    )
+
+
 #: Sentinel: plan_stream has not yet returned its merge context.
 _PLAN_PENDING = object()
 
@@ -111,8 +125,9 @@ class TiledStrategy(Strategy):
 
     Determinism contract: the only RNG consumption on this path is one
     ``integers`` draw per tile, in tile order, from the request seed's
-    root stream — exactly what the legacy pipeline functions did, which
-    is what keeps the engine bit-identical to them for a fixed seed.
+    root stream, which is what keeps a fixed-seed result bit-identical
+    across executors and between :meth:`execute` and
+    :meth:`execute_stream`.
     """
 
     @abstractmethod
@@ -127,9 +142,10 @@ class TiledStrategy(Strategy):
         request: DetectionRequest,
         context: Any,
         sub_results: List[SubImageResult],
-    ) -> Any:
-        """Recombine per-tile results into the strategy's result object
-        (which must expose a ``circles`` attribute/property)."""
+    ) -> Tuple[List[Circle], Optional[MergeCounts]]:
+        """Recombine per-tile results into one model: return the merged
+        circles and, for a strategy that reconciles overlapping tiles,
+        its :class:`MergeCounts` (``None`` otherwise)."""
 
     def plan_stream(
         self, request: DetectionRequest
@@ -171,23 +187,13 @@ class TiledStrategy(Strategy):
             sub_results = exec_.map(run_subimage_task, tasks)
         for index, res in enumerate(sub_results):
             _record_partition_span(request, index, res)
-        raw = self.merge(request, context, sub_results)
-        reports = [
-            PartitionReport(
-                rect=tile.rect,
-                expected_count=tile.expected_count,
-                n_found=len(res.circles),
-                iterations=res.iterations,
-                elapsed_seconds=res.elapsed_seconds,
-            )
-            for tile, res in zip(tiles, sub_results)
-        ]
+        circles, merge = self.merge(request, context, sub_results)
         return StrategyOutput(
-            circles=list(raw.circles),
-            reports=reports,
-            raw=raw,
+            circles=list(circles),
+            reports=[_partition_report(t, r) for t, r in zip(tiles, sub_results)],
             n_tasks=len(tasks),
             executor_kind=kind,
+            merge=merge,
         )
 
     def execute_stream(
@@ -271,23 +277,13 @@ class TiledStrategy(Strategy):
                 yield self._fragment_event(tiles, done_index, res, n_tasks)
             sub_results = pool.results()
             kind = pool.kind
-        raw = self.merge(request, context, sub_results)
-        reports = [
-            PartitionReport(
-                rect=tile.rect,
-                expected_count=tile.expected_count,
-                n_found=len(res.circles),
-                iterations=res.iterations,
-                elapsed_seconds=res.elapsed_seconds,
-            )
-            for tile, res in zip(tiles, sub_results)
-        ]
+        circles, merge = self.merge(request, context, sub_results)
         return StrategyOutput(
-            circles=list(raw.circles),
-            reports=reports,
-            raw=raw,
+            circles=list(circles),
+            reports=[_partition_report(t, r) for t, r in zip(tiles, sub_results)],
             n_tasks=n_tasks,
             executor_kind=kind,
+            merge=merge,
         )
 
     @staticmethod
@@ -297,16 +293,9 @@ class TiledStrategy(Strategy):
         res: SubImageResult,
         n_tasks: Optional[int],
     ) -> PartitionResultEvent:
-        tile = tiles[index]
         return PartitionResultEvent(
             index=index,
-            report=PartitionReport(
-                rect=tile.rect,
-                expected_count=tile.expected_count,
-                n_found=len(res.circles),
-                iterations=res.iterations,
-                elapsed_seconds=res.elapsed_seconds,
-            ),
+            report=_partition_report(tiles[index], res),
             circles=list(res.circles),
             n_tasks=n_tasks,
         )

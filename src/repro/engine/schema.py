@@ -4,9 +4,11 @@ A :class:`DetectionRequest` is the one message every strategy accepts:
 the image, the Bayesian model, the proposal mechanics, an iteration
 budget, a seed, and an executor choice.  A :class:`DetectionResult` is
 the one answer every strategy returns: the fitted circles, a list of
-per-partition :class:`PartitionReport` rows, wall-clock, and the
-strategy's own richer result object under ``raw`` for callers that need
-strategy-specific detail (merge accounting, traces, Table I columns).
+per-partition :class:`PartitionReport` rows, wall-clock, and — for
+blind partitioning — the §IX merge accounting (:class:`MergeCounts`).
+Every field is plain data that survives
+:func:`repro.engine.cache.result_to_json`, so a result has one shape
+whichever cache tier or transport delivered it.
 
 A :class:`DetectionBatch` carries N requests through one engine
 invocation (:func:`repro.engine.run_batch`) sharing a single executor
@@ -44,6 +46,7 @@ __all__ = [
     "BatchItemResult",
     "BatchResult",
     "PartitionReport",
+    "MergeCounts",
     "TilePlan",
     "StrategyOutput",
     "DetectionEvent",
@@ -75,8 +78,7 @@ class DetectionRequest:
     iterations:
         Chain budget.  Tiled strategies (naive/blind/intelligent) read
         it as iterations *per partition*; the periodic strategy reads it
-        as the *total* iteration count, matching the legacy entry
-        points' semantics.
+        as the *total* iteration count.
     strategy:
         Registry name (see :func:`repro.engine.available_strategies`).
     executor:
@@ -201,13 +203,20 @@ def request_for_image(
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """One partition's facts, identical in shape for every strategy."""
+    """One partition's facts, identical in shape for every strategy.
+
+    ``converged_at`` is the iteration at which the partition chain's
+    posterior trace settles (Table I's "# itr converge";
+    :func:`repro.mcmc.diagnostics.convergence_iteration`), ``None`` when
+    it never does.
+    """
 
     rect: Rect
     expected_count: float
     n_found: int
     iterations: int
     elapsed_seconds: float
+    converged_at: Optional[int]
 
     @property
     def seconds_per_iteration(self) -> float:
@@ -222,27 +231,37 @@ class TilePlan:
     expected_count: float
 
 
+@dataclass(frozen=True)
+class MergeCounts:
+    """The §IX blind-merge accounting: the counters of a
+    :class:`~repro.partitioning.merge.MergeReport`, without its circles
+    (those are the result's own)."""
+
+    n_auto_accepted: int
+    n_merged: int
+    n_corroborated: int
+    n_disputed_kept: int
+    n_disputed_dropped: int
+    n_rescued: int
+
+
 @dataclass
 class StrategyOutput:
     """What a strategy hands back to the engine driver."""
 
     circles: List[Circle]
     reports: List[PartitionReport]
-    raw: Any
     n_tasks: int
     executor_kind: str
+    merge: Optional[MergeCounts] = None
 
 
 @dataclass
 class DetectionResult:
     """Engine-level answer, common to all strategies.
 
-    ``raw`` carries the strategy's legacy result object
-    (:class:`~repro.core.naive.NaiveResult`,
-    :class:`~repro.core.blind_pipeline.BlindPipelineResult`,
-    :class:`~repro.core.intelligent_pipeline.IntelligentPipelineResult`
-    or :class:`~repro.core.periodic.PeriodicResult`) for callers that
-    need strategy-specific detail.
+    ``merge`` is the blind strategy's :class:`MergeCounts`; it is
+    ``None`` for strategies that do not reconcile overlapping models.
     """
 
     strategy: str
@@ -251,7 +270,7 @@ class DetectionResult:
     elapsed_seconds: float
     executor_kind: str
     n_tasks: int
-    raw: Any
+    merge: Optional[MergeCounts] = None
 
     @property
     def n_found(self) -> int:

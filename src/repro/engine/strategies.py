@@ -5,23 +5,14 @@ The tiled three (naive, blind, intelligent) supply only *plan* and
 :class:`~repro.engine.orchestrator.TiledStrategy`.  Periodic
 partitioning wraps the §V sampler directly (its partitions are
 re-randomised every cycle, so there is no up-front tile plan).
-
-Each strategy's ``options`` keys default to the legacy pipeline
-functions' keyword defaults, so a bare request reproduces the legacy
-behaviour exactly.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Any, Generator, List, Tuple
 
-from repro.core.blind_pipeline import BlindPipelineResult
-from repro.core.intelligent_pipeline import (
-    IntelligentPipelineResult,
-    PartitionRunReport,
-)
-from repro.core.naive import NaiveResult
 from repro.core.periodic import (
     PeriodicPartitioningSampler,
     grid_partitioner,
@@ -34,14 +25,17 @@ from repro.engine.orchestrator import TiledStrategy
 from repro.engine.registry import Strategy, register_strategy
 from repro.engine.schema import (
     DetectionRequest,
+    MergeCounts,
     PartitionReport,
     StrategyOutput,
     TilePlan,
 )
 from repro.errors import PartitioningError
+from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
-from repro.imaging.density import estimate_count_by_area, estimate_count_in_rect
+from repro.imaging.density import estimate_count_in_rect
 from repro.imaging.filters import threshold_filter
+from repro.mcmc.diagnostics import convergence_iteration
 from repro.partitioning.intelligent import segment_image
 from repro.partitioning.merge import concat_models, merge_blind_models
 from repro.partitioning.blind import blind_partitions
@@ -71,8 +65,21 @@ def _drain_plan(gen: Generator) -> Tuple[List[TilePlan], Any]:
 
 @register_strategy("naive")
 class NaiveStrategy(TiledStrategy):
-    """Plain no-overlap grid, area-scaled priors, no reconciliation —
-    the broken baseline of §I/§V, kept to demonstrate its anomalies."""
+    """Naive partitioning — the broken baseline (§I, §V motivation).
+
+    "'Naively' bisecting an image and considering the two equal halves
+    separately will ... not yield the same results as processing the
+    entire image at once.  Even in the absence of global properties,
+    artifacts that intersect with a partition boundary may be found
+    twice ..., be poorly identified ..., or not be found at all."
+
+    Implemented exactly so the benchmarks can *show* those anomalies:
+    a plain grid with **no overlap**, each tile given the area-scaled
+    share of the whole-image prior (the uniform-density assumption
+    §VIII criticises), independent chains, and concatenation without
+    any reconciliation.  :func:`repro.core.evaluation.cut_lines` gives
+    the interior grid lines of the result's report rects.
+    """
 
     option_keys = frozenset({"nx", "ny"})
 
@@ -93,25 +100,37 @@ class NaiveStrategy(TiledStrategy):
             TilePlan(rect=t, expected_count=spec.expected_count * (t.area / bounds.area))
             for t in tiles_rects
         ]
-        return tiles, tiles_rects
+        return tiles, None
 
     def merge(
         self,
         request: DetectionRequest,
-        context: List[Rect],
+        context: None,
         sub_results: List[SubImageResult],
-    ) -> NaiveResult:
-        return NaiveResult(
-            tiles=context,
-            sub_results=sub_results,
-            circles=concat_models([r.circles for r in sub_results]),
-        )
+    ) -> Tuple[List[Circle], None]:
+        return concat_models([r.circles for r in sub_results]), None
 
 
 @register_strategy("blind")
 class BlindStrategy(TiledStrategy):
-    """§VIII–IX blind partitioning: overlapping 2×2 grid, independent
-    chains, §IX merge heuristics."""
+    """Blind partitioning (§VIII–IX, Fig. 4).
+
+    1. split the image into an ``nx × ny`` grid of *core* cells, each
+       expanded by an overlap margin sized so "the largest expected
+       artifact will fit inside" (the paper uses 1.1 × the expected
+       radius: ``overlap_factor``);
+    2. estimate each expanded region's artifact count with eq. (5);
+    3. run an independent full RJMCMC chain per expanded region;
+    4. reconcile the overlapping models with the §IX heuristics
+       (:func:`repro.partitioning.merge.merge_blind_models`):
+       core-filter, union, proximity-merge duplicates, apply the
+       dispute policy.  The result's ``merge`` carries the accounting.
+
+    Unlike periodic partitioning this is *not* statistically equivalent
+    to conventional MCMC — the result is a point estimate with possible
+    boundary anomalies, in exchange for fully independent (hence
+    perfectly parallel) partition processing.
+    """
 
     option_keys = frozenset(
         {"nx", "ny", "overlap_factor", "theta", "merge_distance", "dispute_policy"}
@@ -136,42 +155,53 @@ class BlindStrategy(TiledStrategy):
             request.image.bounds, nx, ny, overlap_factor * spec.radius_mean
         )
         binary = threshold_filter(request.image, theta)
-        est_counts = []
         for p in parts:
             est = estimate_count_in_rect(
                 binary, p.expanded, theta=0.5, radius=spec.radius_mean
             )
-            est_counts.append(est)
             yield TilePlan(rect=p.expanded, expected_count=est)
-        return (parts, est_counts)
+        return parts
 
     def merge(
         self,
         request: DetectionRequest,
         context: Any,
         sub_results: List[SubImageResult],
-    ) -> BlindPipelineResult:
-        parts, est_counts = context
-        merge_report = merge_blind_models(
-            parts,
+    ) -> Tuple[List[Circle], MergeCounts]:
+        report = merge_blind_models(
+            context,
             [r.circles for r in sub_results],
             merge_distance=float(request.option("merge_distance", 5.0)),
             dispute_policy=request.option("dispute_policy", "accept"),
         )
-        return BlindPipelineResult(
-            partitions=parts,
-            sub_results=sub_results,
-            merge_report=merge_report,
-            est_counts=est_counts,
+        counts = MergeCounts(
+            **{f.name: getattr(report, f.name) for f in fields(MergeCounts)}
         )
+        return report.circles, counts
 
 
 @register_strategy("intelligent")
 class IntelligentStrategy(TiledStrategy):
-    """§VIII–IX intelligent partitioning: segment along empty gutters,
-    eq. (5) per-partition priors, trivial disjoint recombination."""
+    """Intelligent partitioning (§VIII–IX, Fig. 3, Table I).
 
-    option_keys = frozenset({"theta", "min_gap", "pad", "trim", "whole_image_count"})
+    Stages, exactly as the paper runs them on the bead image:
+
+    1. threshold-filter the image (θ = 0.5 in the paper);
+    2. segment along empty rows/columns
+       (:func:`repro.partitioning.intelligent.segment_image`);
+    3. estimate each partition's expected artifact count with eq. (5);
+    4. run an independent full RJMCMC chain per partition;
+    5. concatenate the models — partitions are disjoint, so
+       recombination is trivial.
+
+    Table I's per-partition columns are the result's reports: area is
+    ``rect.area``, the eq. (5) estimate ``expected_count``, runtime
+    ``elapsed_seconds``, iterations to convergence ``converged_at``;
+    the area-scaled "density" estimate it is compared against is
+    :func:`repro.imaging.density.estimate_count_by_area`.
+    """
+
+    option_keys = frozenset({"theta", "min_gap", "pad", "trim"})
 
     def plan(self, request: DetectionRequest) -> Tuple[List[TilePlan], Any]:
         return _drain_plan(self.plan_stream(request))
@@ -187,62 +217,35 @@ class IntelligentStrategy(TiledStrategy):
         min_gap = float(request.option("min_gap", 8.0))
         pad = float(request.option("pad", 3.0))
         trim = bool(request.option("trim", False))
-        whole_image_count = request.option("whole_image_count")
-        image, spec = request.image, request.spec
-
-        binary = threshold_filter(image, theta)
+        binary = threshold_filter(request.image, theta)
         segmentation = segment_image(binary, min_gap=min_gap, pad=pad, trim=trim)
         if len(segmentation) == 0:
             raise PartitioningError(
                 "segmentation produced no partitions (image empty at this "
                 "threshold?)"
             )
-        total_area = image.bounds.area
-        if whole_image_count is None:
-            whole_image_count = estimate_count_in_rect(
-                binary, image.bounds, theta=0.5, radius=spec.radius_mean
-            )
-
-        reports: List[PartitionRunReport] = []
         for rect in segmentation.partitions:
-            est_thresh = estimate_count_in_rect(
-                binary, rect, theta=0.5, radius=spec.radius_mean
+            est = estimate_count_in_rect(
+                binary, rect, theta=0.5, radius=request.spec.radius_mean
             )
-            est_density = estimate_count_by_area(
-                whole_image_count, rect, bounds=image.bounds
-            )
-            reports.append(
-                PartitionRunReport(
-                    rect=rect,
-                    area=rect.area,
-                    relative_area=rect.area / total_area,
-                    est_count_threshold=est_thresh,
-                    est_count_density=est_density,
-                )
-            )
-            yield TilePlan(rect=rect, expected_count=est_thresh)
-        return (segmentation, reports)
+            yield TilePlan(rect=rect, expected_count=est)
+        return None
 
     def merge(
         self,
         request: DetectionRequest,
-        context: Any,
+        context: None,
         sub_results: List[SubImageResult],
-    ) -> IntelligentPipelineResult:
-        segmentation, reports = context
-        for report, result in zip(reports, sub_results):
-            report.result = result
-        return IntelligentPipelineResult(
-            segmentation=segmentation,
-            partitions=reports,
-            circles=concat_models([r.circles for r in sub_results]),
-        )
+    ) -> Tuple[List[Circle], None]:
+        return concat_models([r.circles for r in sub_results]), None
 
 
 @register_strategy("periodic")
 class PeriodicStrategy(Strategy):
     """§V periodic partitioning — statistically valid data-parallel
-    MCMC via alternating global/local phases.
+    MCMC via alternating global/local phases.  Its one report covers the
+    whole image; ``converged_at`` is measured on the sampler's posterior
+    trace.
 
     ``request.iterations`` is the *total* budget; ``options`` mirror the
     :class:`~repro.core.periodic.PeriodicPartitioningSampler` knobs:
@@ -315,11 +318,11 @@ class PeriodicStrategy(Strategy):
             n_found=len(circles),
             iterations=result.iterations,
             elapsed_seconds=result.elapsed_seconds,
+            converged_at=convergence_iteration(result.posterior_trace),
         )
         return StrategyOutput(
             circles=circles,
             reports=[report],
-            raw=result,
             n_tasks=1,
             executor_kind=kind,
         )

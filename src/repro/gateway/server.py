@@ -89,7 +89,7 @@ from repro.service.jobserver import (
     run_background_loop,
     run_forever,
 )
-from repro.service.protocol import error_reply
+from repro.service.protocol import TRACE_ID_MAX_LEN, error_reply
 
 __all__ = [
     "Gateway",
@@ -113,14 +113,6 @@ DEADLINE_HEADER = "x-repro-deadline"
 #: Submitter's span id — forwarded as the wire ``trace`` so backend
 #: spans parent under the HTTP caller's span in a cluster-wide scrape.
 TRACE_HEADER = "x-repro-trace"
-
-#: Longest client-supplied trace id the gateway forwards.  Span ids
-#: the stack mints are ~14 chars; anything past this bound is almost
-#: certainly header abuse, and it would ride every hop, bloat every
-#: span buffer, and come back in every trace document — so it is a
-#: 400, not a silent forward.
-TRACE_ID_MAX_LEN = 128
-
 
 #: How long a drain-remove waits for a backend's streams to finish
 #: before the background remover gives up and removes it anyway.

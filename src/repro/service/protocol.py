@@ -14,7 +14,10 @@ Client → server ops::
     {"op": "ping"}
 
 ``client`` is optional — a self-declared id for per-client quota
-accounting (servers fall back to the peer address).  A cluster router
+accounting (servers fall back to the peer address).  A submit may also
+carry ``deadline`` (seconds the client will wait) and ``trace`` (the
+submitter's span id); :func:`submit_fields` is the one check of
+``priority``/``deadline``/``trace`` both servers apply.  A cluster router
 (:mod:`repro.cluster.router`) speaks this same protocol and adds one
 debug op, ``{"op": "route", "job": {...}}``, answering where a spec
 *would* be placed.
@@ -61,16 +64,16 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.cache import result_to_json
+from repro.engine.cache import report_to_json, result_to_json
 from repro.engine.schema import (
     DetectionEvent,
     DetectionRequest,
-    PartitionReport,
     PartitionResultEvent,
     ResultEvent,
     TilePlannedEvent,
@@ -91,11 +94,13 @@ __all__ = [
     "MAX_LINE_BYTES",
     "SPEC_MEMO_CAPACITY",
     "TERMINAL_EVENTS",
+    "TRACE_ID_MAX_LEN",
     "SpecMemo",
     "compact_json",
     "encode_line",
     "decode_line",
     "error_reply",
+    "submit_fields",
     "request_from_wire",
     "spec_fingerprint",
     "event_to_wire",
@@ -110,6 +115,12 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: Event names after which a stream ends.
 TERMINAL_EVENTS = frozenset({"result", "error", "cancelled"})
+
+#: Longest trace id a submit may carry.  Span ids the stack mints are
+#: ~14 chars; anything past this bound is almost certainly abuse, and it
+#: would ride every hop, bloat every span buffer, and come back in every
+#: trace document — so it is rejected, never silently forwarded.
+TRACE_ID_MAX_LEN = 128
 
 
 #: The one compact encoding every wire surface shares (JSON lines, HTTP
@@ -151,6 +162,37 @@ def error_reply(exc: ServiceError) -> Dict[str, Any]:
     if isinstance(exc, DeadlineExceededError):
         return {"ok": False, "error": "deadline-exceeded", "message": str(exc)}
     return {"ok": False, "error": "bad-request", "message": str(exc)}
+
+
+def submit_fields(msg: Dict[str, Any]) -> Tuple[int, Optional[float], Optional[str]]:
+    """The validated envelope of one ``submit``: ``(priority,
+    deadline_at, trace)``.
+
+    ``priority`` is an integer (default 0); ``deadline`` is a number of
+    seconds, turned into a ``time.monotonic()`` instant (``None`` when
+    absent); ``trace`` is a string of at most :data:`TRACE_ID_MAX_LEN`
+    chars (``None`` when absent or empty).  Anything else raises
+    :class:`ServiceError` — the one check service and router share.
+    """
+    priority = msg.get("priority", 0)
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ServiceError(f"priority must be an integer, got {priority!r}")
+    deadline = msg.get("deadline")
+    deadline_at = None
+    if deadline is not None:
+        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
+            raise ServiceError(
+                f"deadline must be a number of seconds, got {deadline!r}")
+        deadline_at = time.monotonic() + max(0.0, float(deadline))
+    trace = msg.get("trace")
+    if trace is not None:
+        if not isinstance(trace, str):
+            raise ServiceError(
+                f"trace id must be a string, got {type(trace).__name__}")
+        if len(trace) > TRACE_ID_MAX_LEN:
+            raise ServiceError(
+                f"trace id exceeds {TRACE_ID_MAX_LEN} chars ({len(trace)})")
+    return priority, deadline_at, trace or None
 
 
 # -- job spec → DetectionRequest ----------------------------------------------
@@ -390,16 +432,6 @@ def pixels_job(image: Image, strategy: str = "intelligent", iterations: int = 20
 
 # -- engine events → wire ------------------------------------------------------
 
-def _report_wire(report: PartitionReport) -> Dict[str, Any]:
-    return {
-        "rect": [report.rect.x0, report.rect.y0, report.rect.x1, report.rect.y1],
-        "expected_count": report.expected_count,
-        "n_found": report.n_found,
-        "iterations": report.iterations,
-        "elapsed_seconds": report.elapsed_seconds,
-    }
-
-
 def event_to_wire(event: DetectionEvent, cached: bool = False) -> Dict[str, Any]:
     """One engine event as its wire document."""
     if isinstance(event, TilePlannedEvent):
@@ -414,7 +446,7 @@ def event_to_wire(event: DetectionEvent, cached: bool = False) -> Dict[str, Any]
             "event": "partition",
             "index": event.index,
             "n_tasks": event.n_tasks,
-            "report": _report_wire(event.report),
+            "report": report_to_json(event.report),
             "circles": [[c.x, c.y, c.r] for c in event.circles],
         }
     if isinstance(event, ResultEvent):

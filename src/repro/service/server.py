@@ -66,6 +66,7 @@ from repro.service.protocol import (
     TERMINAL_EVENTS,
     event_to_wire,
     request_from_wire,
+    submit_fields,
 )
 from repro.service.queue import JobQueue
 
@@ -304,7 +305,7 @@ class DetectionService(JobServer):
         """Parse and admit one job spec; returns the wire reply.
 
         Raises :class:`QueueFullError` (backpressure, quota) and
-        :class:`ServiceError` (bad spec or priority).  A spec this
+        :class:`ServiceError` (bad spec, priority, deadline or trace id).  A spec this
         process already parsed is not parsed again unless its result has
         left the cache: the memo is only consulted when there is a cache
         for its key to hit, and the key it returns is one
@@ -320,6 +321,7 @@ class DetectionService(JobServer):
         """
         client = msg.get("client")
         self._check_quota(client)
+        priority, deadline_at, trace_id = submit_fields(msg)
         spec = msg.get("job")
         fingerprint = key = request = None
         if self.cache is not None:
@@ -327,9 +329,8 @@ class DetectionService(JobServer):
         if key is None:
             request, key = await self._parse(self._parse_spec, spec)
             self._spec_memo.remember(fingerprint, key)
-        job = self._new_job(request, key, msg.get("priority", 0),
-                            deadline=msg.get("deadline"),
-                            trace_id=msg.get("trace"))
+        job = self._new_job(request, key, priority,
+                            deadline_at=deadline_at, trace_id=trace_id)
         hit = self._cache_lookup(key)
         if hit is not None:
             return self._admit_done(job, hit)
@@ -344,22 +345,17 @@ class DetectionService(JobServer):
         priority: int,
         job_id: Optional[str] = None,
         already_logged: bool = False,
-        deadline: Optional[float] = None,
+        deadline_at: Optional[float] = None,
         trace_id: Optional[str] = None,
     ) -> Job:
-        """Validate the per-submit fields and build the (unregistered)
-        job; *job_id* / *already_logged* are the replay path re-admitting
-        a logged job under its original identity."""
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ServiceError(f"priority must be an integer, got {priority!r}")
-        job = Job(request=request, key=key, priority=priority)
+        """Build the (unregistered) job from :func:`submit_fields`
+        output; *job_id* / *already_logged* are the replay path
+        re-admitting a logged job under its original identity."""
+        job = Job(request=request, key=key, priority=priority,
+                  deadline_at=deadline_at, trace_id=trace_id)
         if job_id is not None:
             job.id = job_id
         job.logged = already_logged and self.job_log is not None
-        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
-            job.deadline_at = time.monotonic() + max(0.0, float(deadline))
-        if isinstance(trace_id, str) and trace_id:
-            job.trace_id = trace_id
         return job
 
     def _cache_lookup(self, key: Optional[str]):
@@ -518,11 +514,9 @@ class DetectionService(JobServer):
         if self.job_log is not None and job.logged:
             self.job_log.log_complete(job.id, _STATE_TO_LOG[state])
         # Terminal jobs live on only for status/replay: drop the request
-        # (which pins the image pixels) and the strategy's raw detail
-        # object, so retention holds wire documents — not images.
+        # (which pins the image pixels), so retention holds results and
+        # wire documents — not images.
         job.request = None
-        if job.result is not None and job.result.raw is not None:
-            job.result = replace(job.result, raw=None)
         job.publish(event)
 
     # -- worker side -----------------------------------------------------------

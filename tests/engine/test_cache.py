@@ -156,7 +156,6 @@ class TestDiskCache:
         ]
         assert [r.rect for r in revived.reports] == [r.rect for r in result.reports]
         assert revived.elapsed_seconds == result.elapsed_seconds
-        assert revived.raw is None
 
     def test_entries_survive_across_cache_instances(self, workload, result, tmp_path):
         key = key_of(workload)
@@ -164,7 +163,6 @@ class TestDiskCache:
         fresh = ResultCache(directory=tmp_path)
         hit = fresh.get(key)
         assert hit is not None
-        assert hit.raw is None
         assert [(c.x, c.y, c.r) for c in hit.circles] == [
             (c.x, c.y, c.r) for c in result.circles
         ]
@@ -187,6 +185,14 @@ class TestDiskCache:
         assert fresh.get(key) is None
         assert fresh.stats.misses == 1
 
+    def test_stale_schema_entry_reads_as_miss(self, workload, result, tmp_path):
+        key = key_of(workload)
+        ResultCache(directory=tmp_path).put(key, result)
+        path = tmp_path / f"{key}.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, schema_version=1)))
+        assert ResultCache(directory=tmp_path).get(key) is None
+
     def test_flush_accumulates_stats_across_instances(self, workload, result, tmp_path):
         first = ResultCache(directory=tmp_path)
         key = key_of(workload)
@@ -202,3 +208,39 @@ class TestDiskCache:
         assert summary["stores"] == 1
         assert summary["disk_entries"] == 1
         assert summary["disk_bytes"] > 0
+
+
+STRATEGIES = ["naive", "blind", "intelligent", "periodic"]
+
+
+@pytest.fixture(scope="module", params=STRATEGIES)
+def run_of(request, workload):
+    """``(request, result)`` of one fresh run per strategy."""
+    req = workload.request(request.param, iterations=ITERS, seed=SEED)
+    return req, run(req)
+
+
+class TestOneResultAnyTier:
+    """A result has one value whichever tier answers: the run itself,
+    the memory LRU, the disk store, or the JSON wire schema."""
+
+    def test_json_roundtrip_is_equal(self, run_of):
+        _, fresh = run_of
+        doc = json.loads(json.dumps(result_to_json(fresh)))
+        assert result_from_json(doc) == fresh
+
+    def test_fresh_memory_and_disk_hits_are_equal(self, run_of, tmp_path):
+        req, fresh = run_of
+        key = request_key(req)
+        cache = ResultCache(directory=tmp_path)
+        cache.put(key, fresh)
+        memory_hit = cache.get(key)
+        disk_hit = ResultCache(directory=tmp_path).get(key)
+        assert memory_hit == fresh
+        assert disk_hit == fresh
+
+    def test_merge_counts_only_for_blind(self, run_of):
+        req, fresh = run_of
+        assert (fresh.merge is not None) == (req.strategy == "blind")
+        assert all(r.converged_at is None or r.converged_at >= 0
+                   for r in fresh.reports)

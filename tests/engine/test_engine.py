@@ -1,22 +1,18 @@
 """Engine behaviour: request validation, seed-fixed parity with the
-legacy pipeline entry points, executor lifecycle ownership."""
+periodic sampler it wraps, the common result schema, executor
+lifecycle ownership."""
 
 import pytest
 
 from repro.bench.workloads import small_nuclei_workload
 from repro.core import PeriodicPartitioningSampler, PhaseSchedule
-from repro.core.blind_pipeline import run_blind_pipeline
-from repro.core.intelligent_pipeline import PartitionRunReport, run_intelligent_pipeline
-from repro.core.naive import run_naive_partitioning
 from repro.engine import auto_executor_kind, run
 from repro.errors import (
     ConfigurationError,
     EngineError,
     ExecutorError,
-    PartitioningError,
     UnknownStrategyError,
 )
-from repro.geometry.rect import Rect
 from repro.parallel.executor import ThreadExecutor
 
 pytestmark = pytest.mark.fast
@@ -55,35 +51,8 @@ class TestRequestValidation:
 
 
 class TestLegacyParity:
-    """Seed-fixed: engine output is bit-identical to the legacy
-    run_*_pipeline entry points, for every strategy."""
-
-    def test_naive(self, workload):
-        legacy = run_naive_partitioning(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_tile=ITERS, seed=SEED,
-        )
-        eng = run(workload.request("naive", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.tiles == [r.rect for r in eng.reports]
-
-    def test_blind(self, workload):
-        legacy = run_blind_pipeline(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_partition=ITERS, theta=workload.threshold, seed=SEED,
-        )
-        eng = run(workload.request("blind", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.est_counts == eng.raw.est_counts
-
-    def test_intelligent(self, workload):
-        legacy = run_intelligent_pipeline(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_partition=ITERS, theta=workload.threshold, seed=SEED,
-        )
-        eng = run(workload.request("intelligent", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.n_partitions == eng.n_partitions
+    """Seed-fixed: the periodic strategy is bit-identical to the
+    :class:`PeriodicPartitioningSampler` it wraps."""
 
     def test_periodic(self, workload):
         sampler = PeriodicPartitioningSampler(
@@ -96,7 +65,7 @@ class TestLegacyParity:
             options={"local_iters": 400},
         ))
         assert key(legacy.final_circles) == key(eng.circles)
-        assert eng.raw.iterations == legacy.iterations
+        assert eng.reports[0].iterations == legacy.iterations
 
 
 class TestResultSchema:
@@ -105,11 +74,12 @@ class TestResultSchema:
         assert eng.strategy == "blind"
         assert eng.n_tasks == 4
         assert len(eng.reports) == 4
-        for report, sub in zip(eng.reports, eng.raw.sub_results):
-            assert report.n_found == len(sub.circles)
+        for report in eng.reports:
             assert report.iterations == ITERS
             assert report.elapsed_seconds > 0
             assert report.seconds_per_iteration > 0
+            assert report.converged_at is None or 0 <= report.converged_at <= ITERS
+        assert eng.merge is not None
         assert eng.elapsed_seconds > 0
 
     def test_periodic_whole_image_report(self, workload):
@@ -119,19 +89,7 @@ class TestResultSchema:
         assert len(eng.reports) == 1
         assert eng.reports[0].rect == workload.filtered.bounds
         assert eng.reports[0].n_found == eng.n_found
-
-    def test_partition_run_report_guard(self):
-        report = PartitionRunReport(
-            rect=Rect(0, 0, 10, 10), area=100.0, relative_area=1.0,
-            est_count_threshold=1.0, est_count_density=1.0,
-        )
-        assert not report.completed
-        with pytest.raises(PartitioningError):
-            report.result
-        with pytest.raises(PartitioningError):
-            report.n_found
-        with pytest.raises(PartitioningError):
-            report.runtime_seconds
+        assert eng.merge is None
 
 
 class TestExecutorLifecycle:

@@ -8,7 +8,8 @@ repo's strongest guard against scheduling-dependent nondeterminism.
 
 import pytest
 
-from repro.core import PeriodicPartitioningSampler, PhaseSchedule, run_blind_pipeline
+from repro.core import PeriodicPartitioningSampler, PhaseSchedule
+from repro.engine import DetectionRequest, run
 from repro.imaging import SceneSpec, generate_scene, threshold_filter
 from repro.imaging.density import estimate_count
 from repro.mcmc import ModelSpec, MoveConfig
@@ -68,18 +69,19 @@ class TestExecutorEquivalence:
     def test_blind_pipeline_process_equals_serial(self, problem):
         scene, filtered, spec = problem
         set_worker_image(scene.image.pixels)
-        serial = run_blind_pipeline(
-            scene.image, spec, MoveConfig(), iterations_per_partition=3000,
-            nx=2, ny=2, seed=88,
-        )
+        def blind(executor):
+            return run(DetectionRequest(
+                image=scene.image, spec=spec, move_config=MoveConfig(),
+                iterations=3000, strategy="blind", executor=executor,
+                seed=88, options={"nx": 2, "ny": 2},
+            ))
+
+        serial = blind("serial")
         with SharedImage.create(scene.image) as shm:
             with ProcessExecutor(
                 4, initializer=worker_initializer, initargs=shm.attach_args()
             ) as ex:
-                parallel = run_blind_pipeline(
-                    scene.image, spec, MoveConfig(), iterations_per_partition=3000,
-                    nx=2, ny=2, seed=88, executor=ex,
-                )
+                parallel = blind(ex)
         a = sorted((c.x, c.y, c.r) for c in serial.circles)
         b = sorted((c.x, c.y, c.r) for c in parallel.circles)
         assert a == pytest.approx(b)

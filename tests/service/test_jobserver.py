@@ -11,8 +11,8 @@ import pytest
 from repro.cluster.router import router_background
 from repro.errors import ClusterError, GatewayError, ServiceError
 from repro.gateway.server import Gateway
-from repro.service import JobServer, serve_background
-from repro.service.protocol import error_reply
+from repro.service import JobServer, ServiceClient, serve_background
+from repro.service.protocol import TRACE_ID_MAX_LEN, error_reply, scene_job
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,36 @@ def test_unknown_op_raises_in_process(server):
     handle, _ = server
     with pytest.raises(ServiceError, match="unknown op"):
         in_process(handle, {"op": "job_events"})
+
+
+def test_submit_envelope_is_checked_the_same_on_both(server):
+    """Service and router apply one ``submit_fields`` check: a bad
+    priority, deadline or trace id is a ``bad-request`` reply on the
+    same connection, and well-formed envelopes run as before."""
+    handle, _ = server
+    job = scene_job(size=32, circles=2, iterations=20, seed=11)
+
+    def submit(**fields):
+        return json.dumps({"op": "submit", "job": job, **fields}).encode()
+
+    replies = wire(
+        handle.address,
+        submit(priority="high"),
+        submit(deadline="soon"),
+        submit(trace="t" * (TRACE_ID_MAX_LEN + 1)),
+        submit(trace=7),
+        submit(),
+        submit(priority=1, deadline=60, trace="t" * TRACE_ID_MAX_LEN),
+    )
+    rejected, accepted = replies[:4], replies[4:]
+    assert [r.get("error") for r in rejected] == ["bad-request"] * 4
+    for reply, field in zip(rejected, ["priority", "deadline", "trace", "trace"]):
+        assert reply["message"].startswith(field)
+    assert all(r["ok"] for r in accepted)
+    with ServiceClient(*handle.address) as client:
+        outs = [client.collect(r["job_id"]) for r in accepted]
+    assert all(out.result is not None for out in outs)
+    assert outs[0].result["circles"] == outs[1].result["circles"]
 
 
 def test_error_reply_frames_cluster_errors_as_no_backends():

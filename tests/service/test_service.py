@@ -209,7 +209,7 @@ class TestCacheIntegration:
             out = client.detect(job_spec(seed=0))
         job = service.service._jobs[out.job_id]
         assert job.request is None, "terminal jobs must drop the image"
-        assert job.result is not None and job.result.raw is None
+        assert job.result is not None
 
     def test_different_seed_misses_cache(self):
         handle = serve_background(workers=2, queue_size=8, cache=ResultCache())
