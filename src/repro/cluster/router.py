@@ -670,9 +670,9 @@ class ShardRouter(JobServer):
 
     # -- ops -------------------------------------------------------------------
     async def op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        priority, deadline_at, wire_trace = submit_fields(msg)
         client = msg.get("client")
         self._check_quota(client)
-        priority, deadline_at, wire_trace = submit_fields(msg)
         spec = msg.get("job")
         if not isinstance(spec, dict):
             raise ServiceError("submit needs a 'job' object")

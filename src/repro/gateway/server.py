@@ -89,7 +89,7 @@ from repro.service.jobserver import (
     run_background_loop,
     run_forever,
 )
-from repro.service.protocol import TRACE_ID_MAX_LEN, error_reply
+from repro.service.protocol import CLIENT_ID_MAX_LEN, TRACE_ID_MAX_LEN, error_reply
 
 __all__ = [
     "Gateway",
@@ -489,18 +489,32 @@ class Gateway:
         anything else is a 400, never a silent forward.  The id then
         parents this handler's ``gateway.request`` span, whose own id
         rides the wire — every downstream span hangs off the gateway
-        span, and the caller's id stays the root of the whole tree."""
+        span, and the caller's id stays the root of the whole tree.
+        A body ``client`` and the ``X-Repro-Client`` header are held to
+        the wire's rule (a string of at most :data:`CLIENT_ID_MAX_LEN`
+        chars) and answered 400 otherwise."""
         if self.draining:
             raise ClusterError("gateway is draining; not admitting new jobs")
         body = request.json()
         spec = body.get("job")
         if not isinstance(spec, dict):
             raise HttpError(400, "submit body needs a 'job' object")
+        body_client = body.get("client")
+        header_client = request.headers.get(CLIENT_HEADER)
+        for where, client in (("client", body_client), (CLIENT_HEADER, header_client)):
+            if client is None:
+                continue
+            if not isinstance(client, str):
+                raise HttpError(
+                    400, f"{where} must be a string, got {type(client).__name__}")
+            if len(client) > CLIENT_ID_MAX_LEN:
+                raise HttpError(
+                    400, f"{where} exceeds {CLIENT_ID_MAX_LEN} chars ({len(client)})")
         msg = {
             "op": "submit",
             "job": spec,
             "priority": body.get("priority", 0),
-            "client": body.get("client") or request.headers.get(CLIENT_HEADER),
+            "client": body_client or header_client,
         }
         deadline = request.headers.get(DEADLINE_HEADER, body.get("deadline"))
         if deadline is not None:

@@ -92,8 +92,13 @@ class SpatialHash:
         """Ids of items within Euclidean distance *radius* of (x, y)."""
         if radius < 0:
             raise GeometryError(f"query radius must be >= 0, got {radius}")
-        kx0, ky0 = self._key(x - radius, y - radius)
-        kx1, ky1 = self._key(x + radius, y + radius)
+        # _key() inlined: this is the overlap prior's per-move query.
+        cell = self.cell_size
+        floor = math.floor
+        kx0 = int(floor((x - radius) / cell))
+        ky0 = int(floor((y - radius) / cell))
+        kx1 = int(floor((x + radius) / cell))
+        ky1 = int(floor((y + radius) / cell))
         r2 = radius * radius
         out: List[int] = []
         for kx in range(kx0, kx1 + 1):

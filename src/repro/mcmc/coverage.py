@@ -48,12 +48,45 @@ futures of the same state).  The stacked window mirrors
 forced to ``+inf`` so they can never pass the ``<= r²`` test — and the
 per-op boundary gathers reuse the sequential scratch, so every batched
 delta is bit-identical to the corresponding sequential trial call.
+
+Removal cache
+-------------
+At the chain's 1–4 % acceptance rate the same circle's removal is
+priced again and again against counts that have not changed since the
+last commit.  :meth:`trial_remove_disc` therefore keeps one
+:class:`_RemovalEntry` per removed disc geometry ``(x, y, r)``:
+
+* the disc's window bounds and mask, and the distance² grid over that
+  window grown by :data:`_GROW` pixels on every side — valid for as long
+  as the geometry matches;
+* the vacated-weight sum and the post-removal counts over the grown
+  window — valid until a commit touches the grown window.
+
+A removal that opens a move (no ops pending) returns the cached sum; a
+later removal in the same move reuses only the mask.  The add of the
+same move reads its counts as a zero-copy view of the post-removal
+window, and a resize's add at the same centre is one ``<=`` against the
+cached grid instead of a new window; an add that leaves the grown
+window takes the ordinary path.  Committing any op clears the sum and
+post-removal window of every entry whose grown window it touches, and
+committing a removal evicts that geometry's entry, so the cache holds
+at most one entry per live disc geometry.  ``reset``, ``rebuild_from``,
+the counts-only and legacy mutators and ``commit_batch_group``
+invalidate the same way.  Evicted entries keep their buffers for reuse,
+and the cache is derived state that pickling drops.
+
+Every served value is bit-identical to a fresh computation: the grid
+holds the same elementwise ``(col − lx)² + (row − ly)²`` floats the
+window would compute, a cached sum is only served while the counts under
+its window are exactly those it was taken against (gathered in the same
+pixel order), and the post-removal window is the same integer counts
+the pending overlay would produce.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,24 +95,65 @@ from repro.geometry.rect import Rect
 
 __all__ = ["CoverageRaster"]
 
+#: Pixels the removal cache's distance² grid extends past the removed
+#: disc's window on each side: the add of a translate (default step 3)
+#: or resize (default step 1.5) lands inside it.
+_GROW = 4
+
 
 class _PendingOp:
     """One uncommitted trial rasterisation: a disc mask over a window.
 
-    ``mask`` is a view into one of the raster's pooled mask buffers — it
-    stays valid until the op is committed or discarded (the kernel's
-    trial protocol resolves every trial before starting the next one).
+    ``mask`` is a view into one of the raster's pooled mask buffers, or
+    into a removal-cache entry's own mask — it stays valid until the op
+    is committed or discarded (the kernel's trial protocol resolves
+    every trial before starting the next one).  ``entry`` is the
+    removal-cache entry of a removal op, ``None`` otherwise.
     """
 
-    __slots__ = ("row0", "row1", "col0", "col1", "mask", "sign")
+    __slots__ = ("row0", "row1", "col0", "col1", "mask", "sign", "entry")
 
-    def __init__(self, row0, row1, col0, col1, mask, sign) -> None:
+    def __init__(self, row0, row1, col0, col1, mask, sign, entry=None) -> None:
         self.row0 = row0
         self.row1 = row1
         self.col0 = col0
         self.col1 = col1
         self.mask = mask
         self.sign = sign
+        self.entry = entry
+
+
+class _RemovalEntry:
+    """The cached removal of one disc geometry (see the module notes).
+
+    ``row0:row1, col0:col1`` is the disc window and ``mask`` its disc;
+    ``grow_*`` bound the grown window that ``grid`` (distance² to the
+    disc centre) and ``post`` (counts with the disc removed) cover.
+    ``vacated`` is the priced sum, ``None`` when stale; ``post_valid``
+    says whether ``post`` holds the current counts.  The arrays are
+    views into flat buffers the entry keeps when it is recycled.
+    """
+
+    __slots__ = (
+        "key", "row0", "row1", "col0", "col1",
+        "grow_row0", "grow_row1", "grow_col0", "grow_col1",
+        "mask", "grid", "post", "vacated", "post_valid",
+        "_mask_flat", "_grid_flat", "_post_flat",
+    )
+
+    def __init__(self) -> None:
+        self._mask_flat = np.empty(0, dtype=bool)
+        self._grid_flat = np.empty(0, dtype=np.float64)
+        self._post_flat = np.empty(0, dtype=np.int32)
+
+    def reserve(self, n_disc: int, n_grow: int) -> None:
+        """Make the flat buffers hold a disc window of *n_disc* and a
+        grown window of *n_grow* pixels (no-op when they already do)."""
+        if self._mask_flat.size < n_disc:
+            self._mask_flat = np.empty(n_disc, dtype=bool)
+        if self._grid_flat.size < n_grow:
+            self._grid_flat = np.empty(n_grow, dtype=np.float64)
+            self._post_flat = np.empty(n_grow, dtype=np.int32)
 
 
 class CoverageRaster:
@@ -116,6 +190,9 @@ class CoverageRaster:
         "_mask_pool",
         "_pending",
         "_batch_groups",
+        "_removals",
+        "_spare_entries",
+        "_removal_weights",
         "_b_cap",
         "_b_r0f",
         "_b_c0f",
@@ -175,6 +252,11 @@ class CoverageRaster:
         # grown (N, H, W) scratch of trial_price_batch.
         self._batch_groups: List[List[_PendingOp]] = []
         self._b_cap = (0, 0, 0)
+        # Removal cache: live entries by geometry, recycled entries, and
+        # the weight map the cached sums were taken against.
+        self._removals: Dict[Tuple[float, float, float], _RemovalEntry] = {}
+        self._spare_entries: List[_RemovalEntry] = []
+        self._removal_weights = None
 
     def reset(
         self,
@@ -196,6 +278,7 @@ class CoverageRaster:
         if height <= 0 or width <= 0:
             raise ChainError(f"raster must be non-empty, got {height}x{width}")
         self._check_no_pending("reset")
+        self._clear_removals()
         n = height * width
         if self._counts_flat.size < n:
             self._counts_flat = np.zeros(max(n, 2 * self._counts_flat.size), dtype=np.int32)
@@ -289,6 +372,7 @@ class CoverageRaster:
         patch = self.counts[rows, cols]
         newly = mask & (patch == 0)
         patch[mask] += 1
+        self._invalidate(rows.start, rows.stop, cols.start, cols.stop)
         delta = float(weights[rows, cols][newly].sum()) if newly.any() else 0.0
         return delta
 
@@ -300,6 +384,7 @@ class CoverageRaster:
         zero coverage (state corruption).
         """
         self._check_no_pending("remove_disc")
+        self._evict(self._removals.get((x, y, r)))
         win = self._disc_window(x, y, r)
         if win is None:
             return 0.0
@@ -311,6 +396,7 @@ class CoverageRaster:
             )
         vacated = mask & (patch == 1)
         patch[mask] -= 1
+        self._invalidate(rows.start, rows.stop, cols.start, cols.stop)
         delta = float(weights[rows, cols][vacated].sum()) if vacated.any() else 0.0
         return delta
 
@@ -331,6 +417,48 @@ class CoverageRaster:
         if self._mask_pool[slot].size < n:
             self._mask_pool[slot] = np.empty(max(n, self._sq_flat.size), dtype=bool)
 
+    def _bounds(self, lx: float, ly: float, r: float):
+        """``(r0, r1, c0, c1)`` of the disc window at raster-local centre
+        ``(lx, ly)``, clipped to the raster, or ``None`` when empty."""
+        h, w = self.counts.shape
+        c0 = max(0, int(math.floor(lx - r - 0.5)))
+        c1 = min(w, int(math.ceil(lx + r + 0.5)))
+        r0 = max(0, int(math.floor(ly - r - 0.5)))
+        r1 = min(h, int(math.ceil(ly + r + 0.5)))
+        if c1 <= c0 or r1 <= r0:
+            return None
+        return r0, r1, c0, c1
+
+    def _distance_grid(self, out: np.ndarray, lx: float, ly: float,
+                       r0: int, r1: int, c0: int, c1: int) -> None:
+        """Fill *out* (``(r1 − r0) × (c1 − c0)``) with the squared
+        distance of each pixel centre to ``(lx, ly)``."""
+        dx2 = self._dx2[: c1 - c0]
+        np.subtract(self._col_centres[c0:c1], lx, out=dx2)
+        np.multiply(dx2, dx2, out=dx2)  # == (cols - lx) ** 2 (numpy squares x**2 as x*x)
+        dy2 = self._dy2[: r1 - r0]
+        np.subtract(self._row_centres[r0:r1], ly, out=dy2)
+        np.multiply(dy2, dy2, out=dy2)
+        # Two-step broadcast (row copy, then in-place column add): the
+        # same single addition dx²[j] + dy²[i] bit-for-bit, but numpy's
+        # iterator buffers one broadcast operand instead of two.
+        np.copyto(out, dx2[None, :])
+        np.add(out, dy2[:, None], out=out)
+
+    def _disc_mask(self, lx: float, ly: float, r: float,
+                   r0: int, r1: int, c0: int, c1: int, slot: int) -> np.ndarray:
+        """Rasterise one disc window into pooled mask *slot*: the full
+        per-disc window the removal cache exists to avoid."""
+        hlen = r1 - r0
+        wlen = c1 - c0
+        n = hlen * wlen
+        self._ensure_scratch(n, slot)
+        sq = self._sq_flat[:n].reshape(hlen, wlen)
+        self._distance_grid(sq, lx, ly, r0, r1, c0, c1)
+        mask = self._mask_pool[slot][:n].reshape(hlen, wlen)
+        np.less_equal(sq, r * r, out=mask)
+        return mask
+
     def _trial_window(self, x: float, y: float, r: float, slot: int):
         """Allocation-free counterpart of :meth:`_disc_window`.
 
@@ -341,35 +469,14 @@ class CoverageRaster:
         """
         lx = x - self.col_offset
         ly = y - self.row_offset
-        h, w = self.counts.shape
-        c0 = max(0, int(math.floor(lx - r - 0.5)))
-        c1 = min(w, int(math.ceil(lx + r + 0.5)))
-        r0 = max(0, int(math.floor(ly - r - 0.5)))
-        r1 = min(h, int(math.ceil(ly + r + 0.5)))
-        if c1 <= c0 or r1 <= r0:
+        bounds = self._bounds(lx, ly, r)
+        if bounds is None:
             return None
-        wlen = c1 - c0
-        hlen = r1 - r0
-        n = hlen * wlen
-        self._ensure_scratch(n, slot)
-        dx2 = self._dx2[:wlen]
-        np.subtract(self._col_centres[c0:c1], lx, out=dx2)
-        np.multiply(dx2, dx2, out=dx2)  # == (cols - lx) ** 2 (numpy squares x**2 as x*x)
-        dy2 = self._dy2[:hlen]
-        np.subtract(self._row_centres[r0:r1], ly, out=dy2)
-        np.multiply(dy2, dy2, out=dy2)
-        sq = self._sq_flat[:n].reshape(hlen, wlen)
-        # Two-step broadcast (row copy, then in-place column add): the
-        # same single addition dx²[j] + dy²[i] bit-for-bit, but numpy's
-        # iterator buffers one broadcast operand instead of two.
-        np.copyto(sq, dx2[None, :])
-        np.add(sq, dy2[:, None], out=sq)
-        mask = self._mask_pool[slot][:n].reshape(hlen, wlen)
-        np.less_equal(sq, r * r, out=mask)
+        r0, r1, c0, c1 = bounds
         # No mask.any() bail-out here: an all-False mask yields an exact
         # 0.0 delta (empty gather) and a no-op commit, so the extra
         # reduction per disc would buy nothing.
-        return r0, r1, c0, c1, mask
+        return r0, r1, c0, c1, self._disc_mask(lx, ly, r, r0, r1, c0, c1, slot)
 
     def _effective_counts(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """The window's counts as pending trial ops would leave them."""
@@ -382,13 +489,16 @@ class CoverageRaster:
         them (the sequential path passes ``self._pending``; the batch
         path passes one candidate group's earlier ops).
 
-        With no ops this is a zero-copy view; otherwise the window is
-        copied into scratch and each mask is applied over the
-        intersection — exactly the counts the legacy path would have
-        produced by mutating in sequence.
+        When no op intersects the window this is a zero-copy view;
+        otherwise the window is copied into scratch and each mask is
+        applied over the intersection — exactly the counts the legacy
+        path would have produced by mutating in sequence.
         """
         patch = self.counts[r0:r1, c0:c1]
-        if not pending:
+        for op in pending:
+            if op.row0 < r1 and r0 < op.row1 and op.col0 < c1 and c0 < op.col1:
+                break
+        else:
             return patch
         hlen = r1 - r0
         wlen = c1 - c0
@@ -416,41 +526,194 @@ class CoverageRaster:
         :meth:`add_disc` would, records the rasterised mask as a pending
         op (so later trials in the same move see its effect), and leaves
         state mutation to :meth:`commit_pending`.
+
+        When the only pending op is a cached removal whose grown window
+        holds this disc (a translate or resize), the counts are read
+        from that entry's post-removal window, and at the same centre
+        the mask is cut from its distance² grid.
         """
-        win = self._trial_window(x, y, r, slot=len(self._pending))
-        if win is None:
+        pending = self._pending
+        slot = len(pending)
+        lx = x - self.col_offset
+        ly = y - self.row_offset
+        bounds = self._bounds(lx, ly, r)
+        if bounds is None:
             return 0.0
-        r0, r1, c0, c1, mask = win
-        patch = self._effective_counts(r0, r1, c0, c1)
+        r0, r1, c0, c1 = bounds
+        base = pending[0].entry if slot == 1 else None
+        if (
+            base is not None
+            and base.grow_row0 <= r0 and r1 <= base.grow_row1
+            and base.grow_col0 <= c0 and c1 <= base.grow_col1
+        ):
+            if base.key[0] == x and base.key[1] == y:
+                mask = self._resize_mask(base, r, r0, r1, c0, c1, slot)
+            else:
+                mask = self._disc_mask(lx, ly, r, r0, r1, c0, c1, slot)
+            patch = self._post_removal_counts(base)[
+                r0 - base.grow_row0 : r1 - base.grow_row0,
+                c0 - base.grow_col0 : c1 - base.grow_col0,
+            ]
+        else:
+            mask = self._disc_mask(lx, ly, r, r0, r1, c0, c1, slot)
+            patch = self._effective_counts(r0, r1, c0, c1)
         hlen, wlen = mask.shape
         newly = self._newly_flat[: hlen * wlen].reshape(hlen, wlen)
-        np.equal(patch, 0, out=newly)
-        np.logical_and(mask, newly, out=newly)
+        # Counts are never negative, so count < mask is exactly
+        # "count == 0 under the disc".
+        np.less(patch, mask, out=newly)
         # Same gather + pairwise sum as the legacy path (an empty gather
-        # sums to exactly 0.0, so no any() pre-check is needed).
-        delta = float(weights[r0:r1, c0:c1][newly].sum())
-        self._pending.append(_PendingOp(r0, r1, c0, c1, mask, +1))
+        # sums to exactly 0.0, so no any() pre-check is needed);
+        # np.add.reduce is ndarray.sum without its Python frame.
+        delta = float(np.add.reduce(weights[r0:r1, c0:c1][newly]))
+        pending.append(_PendingOp(r0, r1, c0, c1, mask, +1))
         return delta
 
     def trial_remove_disc(self, x: float, y: float, r: float, weights: np.ndarray) -> float:
         """Price removing the disc without mutating ``counts``; see
-        :meth:`trial_add_disc`."""
-        win = self._trial_window(x, y, r, slot=len(self._pending))
-        if win is None:
-            return 0.0
-        r0, r1, c0, c1, mask = win
-        patch = self._effective_counts(r0, r1, c0, c1)
-        if self.debug_checks and np.any(patch[mask] <= 0):
-            raise ChainError(
-                f"coverage underflow removing disc ({x:.2f}, {y:.2f}, r={r:.2f})"
-            )
-        hlen, wlen = mask.shape
-        vacated = self._newly_flat[: hlen * wlen].reshape(hlen, wlen)
-        np.equal(patch, 1, out=vacated)
-        np.logical_and(mask, vacated, out=vacated)
-        delta = float(weights[r0:r1, c0:c1][vacated].sum())
-        self._pending.append(_PendingOp(r0, r1, c0, c1, mask, -1))
+        :meth:`trial_add_disc`.
+
+        The disc's mask comes from the removal cache (rasterised on the
+        geometry's first removal), and a removal that opens a move
+        returns the cached sum while the counts under the disc are
+        unchanged since it was taken.
+        """
+        entry = self._removals.get((x, y, r))
+        if entry is None:
+            entry = self._removal_entry(x, y, r)
+            if entry is None:
+                return 0.0
+        r0, r1, c0, c1, mask = entry.row0, entry.row1, entry.col0, entry.col1, entry.mask
+        first = not self._pending
+        delta = entry.vacated
+        hit = first and delta is not None and weights is self._removal_weights
+        if not hit or self.debug_checks:
+            hlen, wlen = mask.shape
+            self._ensure_scratch(hlen * wlen, 0)
+            patch = self._effective_counts(r0, r1, c0, c1)
+            if self.debug_checks and np.any(patch[mask] <= 0):
+                raise ChainError(
+                    f"coverage underflow removing disc ({x:.2f}, {y:.2f}, r={r:.2f})"
+                )
+        if not hit:
+            vacated = self._newly_flat[: hlen * wlen].reshape(hlen, wlen)
+            np.equal(patch, 1, out=vacated)
+            np.logical_and(mask, vacated, out=vacated)
+            delta = float(np.add.reduce(weights[r0:r1, c0:c1][vacated]))
+            if first:
+                if weights is not self._removal_weights:
+                    # Cached sums are only good for the map they summed.
+                    for other in self._removals.values():
+                        other.vacated = None
+                    self._removal_weights = weights
+                entry.vacated = delta
+        self._pending.append(_PendingOp(r0, r1, c0, c1, mask, -1, entry))
         return delta
+
+    # -- removal cache ----------------------------------------------------------
+    def _removal_entry(self, x: float, y: float, r: float) -> Optional[_RemovalEntry]:
+        """Rasterise a removed disc into a new cache entry (the grid over
+        the grown window, the mask cut from it), or ``None`` when the
+        disc misses the raster."""
+        lx = x - self.col_offset
+        ly = y - self.row_offset
+        bounds = self._bounds(lx, ly, r)
+        if bounds is None:
+            return None
+        r0, r1, c0, c1 = bounds
+        h, w = self.counts.shape
+        g_r0 = max(0, r0 - _GROW)
+        g_r1 = min(h, r1 + _GROW)
+        g_c0 = max(0, c0 - _GROW)
+        g_c1 = min(w, c1 + _GROW)
+        ghlen = g_r1 - g_r0
+        gwlen = g_c1 - g_c0
+        hlen = r1 - r0
+        wlen = c1 - c0
+        entry = self._spare_entries.pop() if self._spare_entries else _RemovalEntry()
+        entry.reserve(hlen * wlen, ghlen * gwlen)
+        entry.key = (x, y, r)
+        entry.row0, entry.row1, entry.col0, entry.col1 = r0, r1, c0, c1
+        entry.grow_row0, entry.grow_row1 = g_r0, g_r1
+        entry.grow_col0, entry.grow_col1 = g_c0, g_c1
+        grid = entry._grid_flat[: ghlen * gwlen].reshape(ghlen, gwlen)
+        self._distance_grid(grid, lx, ly, g_r0, g_r1, g_c0, g_c1)
+        mask = entry._mask_flat[: hlen * wlen].reshape(hlen, wlen)
+        np.less_equal(
+            grid[r0 - g_r0 : r1 - g_r0, c0 - g_c0 : c1 - g_c0], r * r, out=mask
+        )
+        entry.grid = grid
+        entry.mask = mask
+        entry.post = entry._post_flat[: ghlen * gwlen].reshape(ghlen, gwlen)
+        entry.vacated = None
+        entry.post_valid = False
+        self._removals[entry.key] = entry
+        return entry
+
+    def _resize_mask(self, entry: _RemovalEntry, r: float,
+                     r0: int, r1: int, c0: int, c1: int, slot: int) -> np.ndarray:
+        """The mask of a disc concentric with *entry*'s, cut from its
+        cached distance² grid (one comparison, no new window)."""
+        hlen = r1 - r0
+        wlen = c1 - c0
+        self._ensure_scratch(hlen * wlen, slot)
+        mask = self._mask_pool[slot][: hlen * wlen].reshape(hlen, wlen)
+        np.less_equal(
+            entry.grid[r0 - entry.grow_row0 : r1 - entry.grow_row0,
+                       c0 - entry.grow_col0 : c1 - entry.grow_col0],
+            r * r, out=mask,
+        )
+        return mask
+
+    def _post_removal_counts(self, entry: _RemovalEntry) -> np.ndarray:
+        """*entry*'s grown window with its disc removed, refreshed from
+        the counts when stale.  Only called while *entry*'s removal is
+        the sole pending op, so the counts are the committed state."""
+        post = entry.post
+        if not entry.post_valid:
+            np.copyto(post, self.counts[entry.grow_row0 : entry.grow_row1,
+                                        entry.grow_col0 : entry.grow_col1])
+            sub = post[entry.row0 - entry.grow_row0 : entry.row1 - entry.grow_row0,
+                       entry.col0 - entry.grow_col0 : entry.col1 - entry.grow_col0]
+            np.subtract(sub, entry.mask, out=sub)
+            entry.post_valid = True
+        return post
+
+    def _invalidate(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Counts changed inside the window: drop the cached sum and
+        post-removal window of every entry whose grown window it
+        touches (masks and grids depend on geometry only)."""
+        for entry in self._removals.values():
+            if (entry.grow_row0 < r1 and r0 < entry.grow_row1
+                    and entry.grow_col0 < c1 and c0 < entry.grow_col1):
+                entry.vacated = None
+                entry.post_valid = False
+
+    def _evict(self, entry: Optional[_RemovalEntry]) -> None:
+        """Drop a removed geometry's entry, keeping its buffers."""
+        if entry is not None and self._removals.pop(entry.key, None) is entry:
+            self._spare_entries.append(entry)
+
+    def _clear_removals(self) -> None:
+        self._spare_entries.extend(self._removals.values())
+        self._removals.clear()
+        self._removal_weights = None
+
+    def _apply(self, ops: List[_PendingOp]) -> None:
+        """Apply committed ops to ``counts`` and keep the removal cache
+        coherent: invalidate what each op touches, then evict the
+        geometries the ops removed."""
+        for op in ops:
+            patch = self.counts[op.row0 : op.row1, op.col0 : op.col1]
+            if op.sign > 0:
+                np.add(patch, op.mask, out=patch)
+            else:
+                np.subtract(patch, op.mask, out=patch)
+        if self._removals:
+            for op in ops:
+                self._invalidate(op.row0, op.row1, op.col0, op.col1)
+            for op in ops:
+                self._evict(op.entry)
 
     def commit_pending(self) -> None:
         """Apply every pending trial mask to ``counts`` (accepted move).
@@ -459,12 +722,7 @@ class CoverageRaster:
         window in place without the legacy path's fancy-index
         temporaries; the resulting counts are identical integers.
         """
-        for op in self._pending:
-            patch = self.counts[op.row0 : op.row1, op.col0 : op.col1]
-            if op.sign > 0:
-                np.add(patch, op.mask, out=patch)
-            else:
-                np.subtract(patch, op.mask, out=patch)
+        self._apply(self._pending)
         self._pending.clear()
 
     def discard_pending(self) -> None:
@@ -577,7 +835,11 @@ class CoverageRaster:
                 np.equal(patch, 0 if sign > 0 else 1, out=boundary)
                 np.logical_and(mask, boundary, out=boundary)
                 deltas.append(float(weights[r0:r1, c0:c1][boundary].sum()))
-                gmasks.append(_PendingOp(r0, r1, c0, c1, mask, 1 if sign > 0 else -1))
+                if sign > 0:
+                    gmasks.append(_PendingOp(r0, r1, c0, c1, mask, 1))
+                else:
+                    gmasks.append(_PendingOp(r0, r1, c0, c1, mask, -1,
+                                             self._removals.get((x, y, r))))
             staged.append(gmasks)
             results.append(deltas)
         self._batch_groups = staged
@@ -639,12 +901,7 @@ class CoverageRaster:
         stays staged until :meth:`discard_batch`; committing twice
         without re-pricing corrupts the counts, so the kernel always
         pairs this with an immediate discard."""
-        for op in self._batch_groups[group]:
-            patch = self.counts[op.row0 : op.row1, op.col0 : op.col1]
-            if op.sign > 0:
-                np.add(patch, op.mask, out=patch)
-            else:
-                np.subtract(patch, op.mask, out=patch)
+        self._apply(self._batch_groups[group])
 
     def discard_batch(self) -> None:
         """Drop every staged batch group (the stacked mask scratch is
@@ -693,6 +950,7 @@ class CoverageRaster:
         r0, r1, c0, c1, mask = win
         patch = self.counts[r0:r1, c0:c1]
         np.add(patch, mask, out=patch)
+        self._invalidate(r0, r1, c0, c1)
 
     def _check_counts_only_window(self, x: float, y: float, r: float, win) -> None:
         """Cross-validate a bulk-load rasterisation against the legacy
@@ -726,6 +984,7 @@ class CoverageRaster:
         """Recompute counts from scratch for the given circles (tests,
         worker initialisation)."""
         self._check_no_pending("rebuild_from")
+        self._clear_removals()
         self.counts[:] = 0
         for x, y, r in zip(xs, ys, rs):
             self.add_disc_counts_only(float(x), float(y), float(r))

@@ -21,13 +21,20 @@ Trial-then-commit
 The kernel prices proposals through the moves' trial protocol
 (:meth:`~repro.mcmc.moves.Move.price` → ``commit``/``rollback``): the
 proposal's log-posterior delta is computed *without* mutating coverage
-counts or the cached posterior, so a rejection — the common case at
-typical 20–40 % acceptance rates — costs one rasterisation per disc
-instead of the legacy apply-then-unapply two.  The chain law and every
-produced float are bit-identical to the legacy protocol, which remains
-available (``legacy_kernel()`` / :func:`set_trial_kernel`) as the
-parity-gate reference; ``scripts/profile_kernel.py`` profiles this
-hot path.
+counts or the cached posterior, so a rejection — nearly every
+iteration: measured acceptance is 1–4 % (1.1 % on the
+``scripts/profile_kernel.py`` workload, 792 commits per 20,000
+``naive`` iterations on the ledger's ``solo-serial`` scene) — costs at
+most one rasterisation per disc instead of the legacy
+apply-then-unapply two.  The removed disc of a move is priced from the
+per-circle removal caches (:mod:`repro.mcmc.coverage`,
+:mod:`repro.mcmc.posterior`): once a circle's removal has been priced,
+a rejected death of it rasterises nothing and a rejected translate or
+resize only the disc it adds.  The chain law and every produced
+float are bit-identical to the legacy protocol, which remains available
+(``legacy_kernel()`` / :func:`set_trial_kernel`) as the parity-gate
+reference; ``scripts/profile_kernel.py`` profiles this hot path and
+counts its disc windows and energy evaluations.
 """
 
 from __future__ import annotations

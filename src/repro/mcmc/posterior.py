@@ -15,11 +15,19 @@ A posterior state may cover the full image (``row_offset = col_offset =
 0``) or just a partition patch — partition workers evaluate local moves
 against their own window without ever touching remote pixels, which is
 the property that makes the paper's ``Ml`` phases parallelisable.
+
+The overlap energy of the disc a move's first primitive removes (a
+delete, or the old disc of a translate or resize) is cached per
+geometry until the next commit: between commits only rejected moves
+run, and they restore the configuration exactly.  The one thing a
+rollback may not restore is the spatial hash's set iteration order, so
+only energies with at most two overlapping partners — a sum whose value
+does not depend on order — are cached.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +136,9 @@ class PosteriorState:
         self._trial_deltas: List[float] = []
         #: active deferred pricing program (multiproposal pass 1), or None.
         self._deferred: Optional[DeferredProgram] = None
+        #: overlap energy of removed disc geometries, valid until the
+        #: configuration next changes for good (see the module notes).
+        self._removal_energy: Dict[Tuple[float, float, float], float] = {}
 
     # -- cached posterior ------------------------------------------------------
     @property
@@ -169,6 +180,7 @@ class PosteriorState:
         The caller must have validated bounds (centre inside ``bounds``,
         radius inside the prior's truncation) — violations raise.
         """
+        self._removal_energy.clear()
         if not self.centre_in_bounds(x, y):
             raise ChainError(f"insert at ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
         if not self.radius_in_bounds(r):
@@ -185,6 +197,7 @@ class PosteriorState:
 
     def delete_circle(self, idx: int) -> Tuple[Circle, float]:
         """Remove circle *idx*; returns (removed circle, delta)."""
+        self._removal_energy.clear()
         n_before = self.config.n
         removed = self.config.remove(idx)
         delta = self.count_prior.delta_death(n_before)
@@ -202,6 +215,7 @@ class PosteriorState:
 
     def move_circle(self, idx: int, x: float, y: float) -> Tuple[Tuple[float, float], float]:
         """Translate circle *idx*; returns (old centre, delta)."""
+        self._removal_energy.clear()
         if not self.centre_in_bounds(x, y):
             raise ChainError(f"move to ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
         r = self.config.radius_of(idx)
@@ -216,6 +230,7 @@ class PosteriorState:
 
     def resize_circle(self, idx: int, r: float) -> Tuple[float, float]:
         """Change circle *idx*'s radius; returns (old radius, delta)."""
+        self._removal_energy.clear()
         if not self.radius_in_bounds(r):
             raise ChainError(f"resize to {r:.2f} outside prior bounds")
         x, y = self.config.position_of(idx)
@@ -295,14 +310,13 @@ class PosteriorState:
             terms.append(_LIKE)
             prog.terms.append(terms)
             return removed, 0.0
+        first = not self._trial_deltas
         n_before = self.config.n
         removed = self.config.remove(idx)
         delta = self.count_prior.delta_death(n_before)
         delta -= self.position_prior.per_circle()
         delta -= self.radius_prior.log_pdf(removed.r)
-        delta -= self.overlap_prior.circle_energy(
-            self.config, removed.x, removed.y, removed.r
-        )
+        delta -= self._overlap_energy(removed.x, removed.y, removed.r, (), first)
         delta += self.likelihood.trial_remove_disc_delta(
             self.coverage, removed.x, removed.y, removed.r
         )
@@ -334,7 +348,7 @@ class PosteriorState:
             return (ox, oy), 0.0
         r = self.config.radius_of(idx)
         ox, oy = self.config.position_of(idx)
-        delta = -self.overlap_prior.circle_energy(self.config, ox, oy, r, exclude=(idx,))
+        delta = -self._overlap_energy(ox, oy, r, (idx,), not self._trial_deltas)
         delta += self.likelihood.trial_remove_disc_delta(self.coverage, ox, oy, r)
         self.config.move_center(idx, x, y)
         delta += self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
@@ -369,7 +383,7 @@ class PosteriorState:
         x, y = self.config.position_of(idx)
         old_r = self.config.radius_of(idx)
         delta = self.radius_prior.log_pdf(r) - self.radius_prior.log_pdf(old_r)
-        delta -= self.overlap_prior.circle_energy(self.config, x, y, old_r, exclude=(idx,))
+        delta -= self._overlap_energy(x, y, old_r, (idx,), not self._trial_deltas)
         delta += self.likelihood.trial_remove_disc_delta(self.coverage, x, y, old_r)
         self.config.set_radius(idx, r)
         delta += self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
@@ -377,10 +391,30 @@ class PosteriorState:
         self._trial_deltas.append(delta)
         return old_r, delta
 
+    def _overlap_energy(
+        self, x: float, y: float, r: float, exclude: Tuple[int, ...], first: bool
+    ) -> float:
+        """Overlap energy of a disc a trial primitive removes; served
+        from the per-geometry cache when the primitive opens the move
+        (*first*), since only then is the configuration the committed
+        one the cached value was taken against."""
+        if not first:
+            return self.overlap_prior.circle_energy(self.config, x, y, r, exclude=exclude)
+        key = (x, y, r)
+        energy = self._removal_energy.get(key)
+        if energy is None:
+            energy, partners = self.overlap_prior.energy_and_partners(
+                self.config, x, y, r, exclude
+            )
+            if partners <= 2:
+                self._removal_energy[key] = energy
+        return energy
+
     def commit_trial(self) -> None:
         """Finalise the pending trial primitives: apply the cached
         coverage masks and fold each primitive's delta into the cached
         posterior (same `+=` sequence as the legacy apply path)."""
+        self._removal_energy.clear()
         self.coverage.commit_pending()
         for delta in self._trial_deltas:
             self._log_post += delta
@@ -468,6 +502,7 @@ class PosteriorState:
         cached posterior — the same ``+=`` sequence as
         :meth:`commit_trial`.  The caller must have re-applied the
         winner's configuration ops first (``Move.reapply``)."""
+        self._removal_energy.clear()
         self.coverage.commit_batch_group(group)
         for delta in prim_deltas:
             self._log_post += delta
@@ -500,6 +535,7 @@ class PosteriorState:
         partition-worker contexts that legitimately contain *frozen*
         circles whose discs cross the window edge.
         """
+        self._removal_energy.clear()
         indices: List[int] = []
         for c in circles:
             idx = self.config.add(c.x, c.y, c.r)

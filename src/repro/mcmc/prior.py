@@ -19,7 +19,7 @@ consumes, so full posterior evaluation only happens in tests.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
 
 from repro.errors import ConfigurationError
@@ -148,22 +148,46 @@ class OverlapPrior:
         beats per-call numpy ufunc dispatch by an order of magnitude —
         this is the single hottest prior call of the chain kernel.
         """
+        return self.energy_and_partners(config, x, y, r, exclude)[0]
+
+    def energy_and_partners(
+        self,
+        config: CircleConfiguration,
+        x: float,
+        y: float,
+        r: float,
+        exclude: Sequence[int] = (),
+    ) -> Tuple[float, int]:
+        """:meth:`circle_energy` and the number of neighbours whose
+        overlap with the disc is nonzero.
+
+        The neighbours come in spatial-hash set order, which depends on
+        insertion history; a sum of at most two nonzero terms is the
+        same float in any order, so the posterior only reuses an energy
+        with ``partners <= 2``.
+        """
         if self.gamma == 0.0:
-            return 0.0
+            return 0.0, 0
         candidates = config.neighbours_within(x, y, r + self.rmax)
         if not candidates:
-            return 0.0
+            return 0.0, 0
         xs, ys, rs = config.xs, config.ys, config.rs
         total = 0.0
+        partners = 0
         # exclude is a 0-2 element tuple in the hot path: plain
         # membership beats building a set per call.
         for i in candidates:
             if i in exclude:
                 continue
-            total += circle_circle_overlap_area(
+            area = circle_circle_overlap_area(
                 x, y, r, float(xs[i]), float(ys[i]), float(rs[i])
             )
-        return -self.gamma * total
+            # Skipping a zero term is exact: x + 0.0 == x for every x
+            # but -0.0, which a total starting at +0.0 never becomes.
+            if area:
+                total += area
+                partners += 1
+        return -self.gamma * total, partners
 
     def pair_energy(
         self, x0: float, y0: float, r0: float, x1: float, y1: float, r1: float

@@ -17,10 +17,10 @@ Client → server ops::
 accounting (servers fall back to the peer address).  A submit may also
 carry ``deadline`` (seconds the client will wait) and ``trace`` (the
 submitter's span id); :func:`submit_fields` is the one check of
-``priority``/``deadline``/``trace`` both servers apply.  A cluster router
-(:mod:`repro.cluster.router`) speaks this same protocol and adds one
-debug op, ``{"op": "route", "job": {...}}``, answering where a spec
-*would* be placed.
+``priority``/``deadline``/``trace``/``client`` both servers apply.  A
+cluster router (:mod:`repro.cluster.router`) speaks this same protocol
+and adds one debug op, ``{"op": "route", "job": {...}}``, answering
+where a spec *would* be placed.
 
 ``trace`` returns the buffered spans for one trace — addressed by a
 ``job_id`` the target knows, or by raw ``trace`` key.  Against a plain
@@ -95,6 +95,7 @@ __all__ = [
     "SPEC_MEMO_CAPACITY",
     "TERMINAL_EVENTS",
     "TRACE_ID_MAX_LEN",
+    "CLIENT_ID_MAX_LEN",
     "SpecMemo",
     "compact_json",
     "encode_line",
@@ -121,6 +122,12 @@ TERMINAL_EVENTS = frozenset({"result", "error", "cancelled"})
 #: would ride every hop, bloat every span buffer, and come back in every
 #: trace document — so it is rejected, never silently forwarded.
 TRACE_ID_MAX_LEN = 128
+
+#: Longest client id a submit may carry.  The id keys a quota bucket
+#: and is written into every job-log entry, so it is bounded like the
+#: trace id, and anything but a string is refused before it reaches the
+#: quota's bucket map.
+CLIENT_ID_MAX_LEN = 128
 
 
 #: The one compact encoding every wire surface shares (JSON lines, HTTP
@@ -171,8 +178,11 @@ def submit_fields(msg: Dict[str, Any]) -> Tuple[int, Optional[float], Optional[s
     ``priority`` is an integer (default 0); ``deadline`` is a number of
     seconds, turned into a ``time.monotonic()`` instant (``None`` when
     absent); ``trace`` is a string of at most :data:`TRACE_ID_MAX_LEN`
-    chars (``None`` when absent or empty).  Anything else raises
-    :class:`ServiceError` — the one check service and router share.
+    chars (``None`` when absent or empty).  ``client`` is not returned
+    but checked too: absent, or a string of at most
+    :data:`CLIENT_ID_MAX_LEN` chars.  Anything else raises
+    :class:`ServiceError` — the one check service and router share,
+    made before the quota sees the client id.
     """
     priority = msg.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
@@ -192,6 +202,14 @@ def submit_fields(msg: Dict[str, Any]) -> Tuple[int, Optional[float], Optional[s
         if len(trace) > TRACE_ID_MAX_LEN:
             raise ServiceError(
                 f"trace id exceeds {TRACE_ID_MAX_LEN} chars ({len(trace)})")
+    client = msg.get("client")
+    if client is not None:
+        if not isinstance(client, str):
+            raise ServiceError(
+                f"client id must be a string, got {type(client).__name__}")
+        if len(client) > CLIENT_ID_MAX_LEN:
+            raise ServiceError(
+                f"client id exceeds {CLIENT_ID_MAX_LEN} chars ({len(client)})")
     return priority, deadline_at, trace or None
 
 

@@ -305,13 +305,14 @@ class DetectionService(JobServer):
         """Parse and admit one job spec; returns the wire reply.
 
         Raises :class:`QueueFullError` (backpressure, quota) and
-        :class:`ServiceError` (bad spec, priority, deadline or trace id).  A spec this
-        process already parsed is not parsed again unless its result has
-        left the cache: the memo is only consulted when there is a cache
-        for its key to hit, and the key it returns is one
-        :meth:`_parse_spec` produced here for a byte-identical spec — so
-        a hit proves the spec valid and is admitted born-done without a
-        :class:`DetectionRequest` ever being built.
+        :class:`ServiceError` (bad spec, priority, deadline, trace or
+        client id).  A spec this process already parsed is not parsed
+        again unless its result has left the cache: the memo is only
+        consulted when there is a cache for its key to hit, and the key
+        it returns is one :meth:`_parse_spec` produced here for a
+        byte-identical spec — so a hit proves the spec valid and is
+        admitted born-done without a :class:`DetectionRequest` ever
+        being built.
 
         ``deadline`` (seconds of client budget left) arms work-shedding:
         a queued job whose budget expires before a worker reaches it
@@ -319,9 +320,9 @@ class DetectionService(JobServer):
         client that already gave up.  ``trace`` parents the run's engine
         spans under the submitter's span.
         """
+        priority, deadline_at, trace_id = submit_fields(msg)
         client = msg.get("client")
         self._check_quota(client)
-        priority, deadline_at, trace_id = submit_fields(msg)
         spec = msg.get("job")
         fingerprint = key = request = None
         if self.cache is not None:

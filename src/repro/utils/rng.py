@@ -15,6 +15,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -81,8 +82,18 @@ class RngStream:
         return float(self._rng.random())
 
     def uniform(self, low: float, high: float) -> float:
-        """Uniform float in [low, high)."""
-        return float(self._rng.uniform(low, high))
+        """Uniform float in [low, high).
+
+        The same draw and float as ``Generator.uniform(low, high)``
+        (``low + (high - low) * next_double``, with its range checks),
+        without the per-call array conversion."""
+        low = float(low)
+        span = float(high) - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0.0:  # numpy's sign-bit test: -0.0 fails too
+            raise ValueError("high - low < 0")
+        return low + span * self._rng.random()
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
         """Gaussian sample."""

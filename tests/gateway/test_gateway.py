@@ -160,6 +160,36 @@ class TestQuota:
         b.submit(job_spec(seed=1))  # bob's bucket is untouched by alice
 
 
+class TestClientId:
+    """A client id the wire would refuse is a 400 at the gateway — not
+    the 500 an unhashable id used to raise inside the quota."""
+
+    def post(self, address, body, headers=()):
+        host, port = address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("POST", "/v1/jobs", body=json.dumps(body),
+                         headers={"Content-Type": "application/json", **dict(headers)})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("client", [["a"], "c" * 129], ids=["list", "oversize"])
+    def test_bad_body_client_400(self, quota_gateway, client):
+        status, doc = self.post(quota_gateway.address,
+                                {"job": job_spec(seed=0), "client": client})
+        assert status == 400
+        assert doc["message"].startswith("client")
+        GatewayClient(quota_gateway.address).stats()  # still serving
+
+    def test_oversize_client_header_400(self, quota_gateway):
+        status, doc = self.post(quota_gateway.address, {"job": job_spec(seed=0)},
+                                headers={"X-Repro-Client": "c" * 129})
+        assert status == 400
+        assert doc["message"].startswith("x-repro-client")
+
+
 class TestMalformedHttp:
     def send_raw(self, address, payload: bytes) -> bytes:
         with socket.create_connection(address, timeout=10) as sock:

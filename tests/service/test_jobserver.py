@@ -8,11 +8,17 @@ import socket
 
 import pytest
 
+from repro.cluster.quota import QuotaPolicy
 from repro.cluster.router import router_background
 from repro.errors import ClusterError, GatewayError, ServiceError
 from repro.gateway.server import Gateway
 from repro.service import JobServer, ServiceClient, serve_background
-from repro.service.protocol import TRACE_ID_MAX_LEN, error_reply, scene_job
+from repro.service.protocol import (
+    CLIENT_ID_MAX_LEN,
+    TRACE_ID_MAX_LEN,
+    error_reply,
+    scene_job,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +129,51 @@ def test_submit_envelope_is_checked_the_same_on_both(server):
         outs = [client.collect(r["job_id"]) for r in accepted]
     assert all(out.result is not None for out in outs)
     assert outs[0].result["circles"] == outs[1].result["circles"]
+
+
+@pytest.fixture(scope="module", params=["service", "router"])
+def quota_server(request, backend):
+    """A quota-holding service, or a quota-holding router over the
+    shared backend: the shape where an unhashable client id used to
+    reach the quota's bucket map and drop the connection."""
+    if request.param == "service":
+        handle = serve_background(workers=1, queue_size=4,
+                                  quota=QuotaPolicy(rate=100))
+    else:
+        host, port = backend.address
+        handle = router_background(backends=[f"{host}:{port}"],
+                                   quota=QuotaPolicy(rate=100))
+    yield handle
+    handle.stop()
+
+
+def test_bad_client_id_is_a_bad_request_and_keeps_the_connection(quota_server):
+    job = scene_job(size=32, circles=2, iterations=20, seed=11)
+
+    def submit(client):
+        return json.dumps({"op": "submit", "job": job, "client": client}).encode()
+
+    replies = wire(
+        quota_server.address,
+        submit(["a"]),
+        submit("c" * (CLIENT_ID_MAX_LEN + 1)),
+        b'{"op": "ping"}',
+    )
+    assert [r.get("error") for r in replies[:2]] == ["bad-request"] * 2
+    assert all(r["message"].startswith("client id") for r in replies[:2])
+    assert replies[2]["pong"]
+
+
+def test_longest_client_id_is_admitted(quota_server):
+    job = scene_job(size=32, circles=2, iterations=20, seed=12)
+    [reply] = wire(
+        quota_server.address,
+        json.dumps({"op": "submit", "job": job,
+                    "client": "c" * CLIENT_ID_MAX_LEN}).encode(),
+    )
+    assert reply["ok"]
+    with ServiceClient(*quota_server.address) as client:
+        assert client.collect(reply["job_id"]).result is not None
 
 
 def test_error_reply_frames_cluster_errors_as_no_backends():

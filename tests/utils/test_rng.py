@@ -48,6 +48,30 @@ class TestRngStream:
             v = s.uniform(3.0, 7.0)
             assert 3.0 <= v < 7.0
 
+    def test_uniform_is_numpys_draw_bit_for_bit(self):
+        """The scalar uniform reproduces ``Generator.uniform`` exactly —
+        every chain's birth, translate and resize proposals depend on it."""
+        ours = RngStream(seed=21)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
+        bounds = np.random.default_rng(0)
+        for i in range(20_000):
+            low = float(bounds.uniform(-500.0, 500.0)) if i % 3 else 0.0
+            high = low + float(bounds.uniform(0.0, 60.0)) if i % 5 else low + 2 * np.pi
+            assert ours.uniform(low, high) == float(ref.uniform(low, high))
+        assert ours.uniform(-1, 2) == float(ref.uniform(-1, 2))  # int bounds
+
+    @pytest.mark.parametrize("low, high, error", [
+        (1.0, 0.0, ValueError),
+        (0.0, -0.0, ValueError),
+        (0.0, float("inf"), OverflowError),
+        (float("nan"), 1.0, OverflowError),
+    ])
+    def test_uniform_rejects_what_numpy_rejects(self, low, high, error):
+        with pytest.raises(error):
+            np.random.default_rng(0).uniform(low, high)
+        with pytest.raises(error):
+            RngStream(seed=0).uniform(low, high)
+
     def test_integers_bounds(self):
         s = RngStream(seed=2)
         vals = {s.integers(0, 4) for _ in range(200)}
