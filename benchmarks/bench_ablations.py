@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the sampler's main design choices.
 
 * **Allocation rule** (§V): proportional-to-modifiable-features vs a
   uniform split.  With single-point partitions of very unequal sizes,

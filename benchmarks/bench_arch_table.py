@@ -3,8 +3,8 @@ on the three test machines.
 
 Paper (measured): Pentium-D −38 %, Q6600 −29 %, dual-Xeon −23 %, all at
 the 20 ms-per-global-phase sweet spot, vs eq. (2)'s ideal −45 %.
-Reproduced on the calibrated machine profiles (DESIGN.md §2's hardware
-substitution).
+Reproduced on the calibrated machine profiles, which stand in for the
+paper's hardware.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 """Experiment ``live`` — wall-clock periodic-partitioning speedup on
-this host (validates the hardware substitution of DESIGN.md §2).
+this host (validates the simulated machine profiles that stand in for
+the paper's hardware).
 
 Runs the identical periodic schedule three ways:
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """cProfile the chain hot path: a top-N hotspot table for the classic
-chain and the K=4 multiproposal chain on the standard 128² / 10-circle
-synthetic workload.  Finds candidates only — the profiler taxes Python
-calls and not numpy, so speed is measured with ``ledger/run.py``.
+chain on the standard 128² / 10-circle synthetic workload.  Finds
+candidates only — the profiler taxes Python calls and not numpy, so
+speed is measured with ``ledger/run.py``.
 
 It then reruns the classic chain unprofiled and counts, per iteration,
 the work the removal cache exists to save: full disc windows
@@ -29,12 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workloads import synthetic_workload  # noqa: E402
-from repro.mcmc import (  # noqa: E402
-    MarkovChain,
-    MoveGenerator,
-    MultiproposalChain,
-    PosteriorState,
-)
+from repro.mcmc import MarkovChain, MoveGenerator, PosteriorState  # noqa: E402
 from repro.mcmc.coverage import CoverageRaster  # noqa: E402
 from repro.mcmc.prior import OverlapPrior  # noqa: E402
 
@@ -83,27 +78,18 @@ def counting(counts: Counter):
 def run_profile(iterations: int, top: int) -> int:
     workload = synthetic_workload(size=128, n_circles=10, seed=3)
 
-    def fresh():
-        post = PosteriorState(workload.filtered, workload.model)
-        return post, MoveGenerator(workload.model, workload.moves)
-
     def classic():
-        return MarkovChain(*fresh(), seed=99)
+        post = PosteriorState(workload.filtered, workload.model)
+        return MarkovChain(post, MoveGenerator(workload.model, workload.moves), seed=99)
 
-    chains = {
-        "classic chain (width 1)": classic,
-        "multiproposal chain (width 4)":
-            lambda: MultiproposalChain(*fresh(), width=4, seed=99),
-    }
-    for label, make_chain in chains.items():
-        chain = make_chain()
-        chain.run(WARMUP)
-        prof = cProfile.Profile()
-        prof.enable()
-        chain.run(iterations)
-        prof.disable()
-        print(f"== {label}: top {top} by total time ==")
-        pstats.Stats(prof).strip_dirs().sort_stats("tottime").print_stats(top)
+    chain = classic()
+    chain.run(WARMUP)
+    prof = cProfile.Profile()
+    prof.enable()
+    chain.run(iterations)
+    prof.disable()
+    print(f"== classic chain: top {top} by total time ==")
+    pstats.Stats(prof).strip_dirs().sort_stats("tottime").print_stats(top)
 
     chain = classic()
     chain.run(WARMUP)
@@ -137,6 +123,6 @@ if __name__ == "__main__":
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--iterations", type=int, default=30_000)
     parser.add_argument("--profile-top", type=int, default=25,
-                        help="rows in each hotspot table")
+                        help="rows in the hotspot table")
     args = parser.parse_args()
     sys.exit(run_profile(args.iterations, args.profile_top))

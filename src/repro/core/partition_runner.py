@@ -46,7 +46,7 @@ __all__ = [
 
 #: Per-thread cache of one scratch-warmed CoverageRaster per worker.
 #: Local-phase tasks arrive every cycle with similar patch sizes, so
-#: reusing a raster (counts plane + trial/batch scratch, all grown to
+#: reusing a raster (counts plane + trial scratch, all grown to
 #: the high-water mark) removes the per-task allocation burst.  Keyed
 #: per thread: serial and thread executors share this process, process
 #: executors each get their own module copy — all cases are race-free.
@@ -144,17 +144,7 @@ def run_local_phase_task(task: LocalPhaseTask) -> LocalPhaseResult:
         allowed_indices=local_ids,
         constraint=(rect, task.margin),
     )
-    if task.move_config.proposal_batch >= 1:
-        from repro.mcmc.speculative import MultiproposalChain
-
-        mp_chain = MultiproposalChain(
-            post, gen, width=task.move_config.proposal_batch,
-            seed=RngStream(task.seed), record_every=max(1, task.iterations),
-        )
-        mp_chain.run(task.iterations)
-        stats = mp_chain.stats
-        rounds = mp_chain.rounds
-    elif task.speculative_width > 1:
+    if task.speculative_width > 1:
         from repro.mcmc.speculative import SpeculativeChain
 
         spec_chain = SpeculativeChain(

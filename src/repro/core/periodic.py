@@ -40,7 +40,7 @@ from repro.core.partition_runner import (
 )
 from repro.core.phases import PhaseSchedule
 from repro.mcmc.samples import SampleCollector
-from repro.mcmc.speculative import MultiproposalChain, SpeculativeChain
+from repro.mcmc.speculative import SpeculativeChain
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.sharedmem import set_worker_image
 from repro.partitioning.allocation import allocate_iterations
@@ -193,20 +193,9 @@ class PeriodicPartitioningSampler:
 
         self.post = PosteriorState(image, spec)
         self._global_gen = MoveGenerator(spec, move_config, mode="global")
-        # Kernel selection for the global phases, in precedence order:
-        # proposal_batch >= 1 (batched multiproposal rounds) beats
-        # speculative_width > 1 (modelled thread-parallel rounds) beats
-        # the classic one-proposal chain.  proposal_batch == 1 is the
-        # classic chain bit-for-bit through the batched engine.
-        self._multiproposal_chain: Optional[MultiproposalChain] = None
         self._speculative_chain: Optional[SpeculativeChain] = None
         self._global_chain: Optional[MarkovChain] = None
-        if move_config.proposal_batch >= 1:
-            self._multiproposal_chain = MultiproposalChain(
-                self.post, self._global_gen, width=move_config.proposal_batch,
-                seed=self._global_stream, record_every=record_every,
-            )
-        elif speculative_width > 1:
+        if speculative_width > 1:
             self._speculative_chain = SpeculativeChain(
                 self.post, self._global_gen, width=speculative_width,
                 seed=self._global_stream, record_every=record_every,
@@ -234,9 +223,7 @@ class PeriodicPartitioningSampler:
         """``Mg`` iterations on the whole image — sequentially, or in
         speculative rounds when ``speculative_width > 1``."""
         watch = Stopwatch().start()
-        if self._multiproposal_chain is not None:
-            self._multiproposal_chain.run(iterations)
-        elif self._speculative_chain is not None:
+        if self._speculative_chain is not None:
             self._speculative_chain.run(iterations)
         else:
             self._global_chain.run(iterations)
@@ -302,16 +289,12 @@ class PeriodicPartitioningSampler:
             elapsed_seconds=elapsed,
             timings=self.timings,
             global_stats=(
-                self._multiproposal_chain.stats
-                if self._multiproposal_chain is not None
-                else self._speculative_chain.stats
+                self._speculative_chain.stats
                 if self._speculative_chain is not None
                 else self._global_chain.stats
             ),
             global_rounds=(
-                self._multiproposal_chain.rounds
-                if self._multiproposal_chain is not None and self._multiproposal_chain.width > 1
-                else self._speculative_chain.rounds
+                self._speculative_chain.rounds
                 if self._speculative_chain is not None
                 else None
             ),

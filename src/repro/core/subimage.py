@@ -27,7 +27,6 @@ from repro.mcmc.diagnostics import AcceptanceStats, Trace, convergence_iteration
 from repro.mcmc.moves import MoveGenerator
 from repro.mcmc.posterior import PosteriorState
 from repro.mcmc.spec import ModelSpec, MoveConfig
-from repro.mcmc.speculative import MultiproposalChain
 from repro.parallel.sharedmem import get_worker_image
 from repro.utils.rng import RngStream
 from repro.utils.timing import Stopwatch
@@ -111,19 +110,9 @@ def run_subimage_task(task: SubImageTask) -> SubImageResult:
         bounds=rect,
     )
     gen = MoveGenerator(task.spec, task.move_config, mode="full")
-    # proposal_batch >= 1 routes the partition chain through the batched
-    # multiproposal kernel; width 1 is the classic chain bit-for-bit, so
-    # the four-strategy parity suite can gate the batched engine
-    # end-to-end through every pipeline.
-    if task.move_config.proposal_batch >= 1:
-        chain = MultiproposalChain(
-            post, gen, width=task.move_config.proposal_batch,
-            seed=RngStream(task.seed), record_every=task.record_every,
-        )
-    else:
-        chain = MarkovChain(
-            post, gen, seed=RngStream(task.seed), record_every=task.record_every
-        )
+    chain = MarkovChain(
+        post, gen, seed=RngStream(task.seed), record_every=task.record_every
+    )
     watch = Stopwatch().start()
     chain.run(task.iterations)
     elapsed = watch.stop()

@@ -81,9 +81,7 @@ def _observe_executor_wait(
     ).observe(max(wait, 0.0))
 
 
-def _record_partition_span(
-    request: DetectionRequest, index: int, res: SubImageResult
-) -> None:
+def _record_partition_span(index: int, res: SubImageResult) -> None:
     """One ``engine.partition`` span per finished tile worker.
 
     Recorded coordinator-side at completion (contextvars don't cross
@@ -91,17 +89,14 @@ def _record_partition_span(
     from the chain's self-reported compute clock, so the span parents
     under whatever engine/service span is open here.
     """
-    move = request.move_config
-    batch = getattr(move, "proposal_batch", 1) if move else 1
     # Tile index and iteration count are span detail, not metric keys:
     # per-tile histogram series would grow with the partition count.
     _record_span(
         "engine.partition",
         res.elapsed_seconds,
-        histogram_labels={"proposal_batch": batch},
+        histogram_labels={},
         tile=index,
         iterations=res.iterations,
-        proposal_batch=batch,
     )
 
 def _partition_report(tile: TilePlan, res: SubImageResult) -> PartitionReport:
@@ -186,7 +181,7 @@ class TiledStrategy(Strategy):
         with engine_executor(request, request.image, len(tasks)) as (exec_, kind):
             sub_results = exec_.map(run_subimage_task, tasks)
         for index, res in enumerate(sub_results):
-            _record_partition_span(request, index, res)
+            _record_partition_span(index, res)
         circles, merge = self.merge(request, context, sub_results)
         return StrategyOutput(
             circles=list(circles),
@@ -268,12 +263,12 @@ class TiledStrategy(Strategy):
                 )
                 for done_index, res in pool.completed():
                     _observe_executor_wait(submit_times, done_index, res)
-                    _record_partition_span(request, done_index, res)
+                    _record_partition_span(done_index, res)
                     yield self._fragment_event(tiles, done_index, res, None)
             n_tasks = len(tiles)
             for done_index, res in pool.iter_completed():
                 _observe_executor_wait(submit_times, done_index, res)
-                _record_partition_span(request, done_index, res)
+                _record_partition_span(done_index, res)
                 yield self._fragment_event(tiles, done_index, res, n_tasks)
             sub_results = pool.results()
             kind = pool.kind

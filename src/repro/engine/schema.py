@@ -461,7 +461,6 @@ def request_key(request: DetectionRequest) -> Optional[str]:
             "translate_step": moves.translate_step,
             "resize_step": moves.resize_step,
             "split_max_separation": moves.split_max_separation,
-            "proposal_batch": moves.proposal_batch,
         },
         "options": options,
     }

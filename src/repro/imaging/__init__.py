@@ -5,7 +5,7 @@ colour of interest, then fit a circle configuration to the *filtered*
 image by RJMCMC.  This package provides every imaging piece of that
 pipeline, including a parametric synthetic-scene generator that stands in
 for the stained-nuclei micrographs and latex-bead photographs used in the
-paper (see DESIGN.md §2 for the substitution rationale).
+paper.
 """
 
 from repro.imaging.image import Image

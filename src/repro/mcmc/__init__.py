@@ -43,12 +43,10 @@ from repro.mcmc.moves import (
     MoveGenerator,
 )
 from repro.mcmc.kernel import (
-    MultiproposalRound,
     StepResult,
     evaluate_move,
     legacy_kernel,
     metropolis_hastings_step,
-    multiproposal_step,
     price_move,
     set_trial_kernel,
     trial_kernel_enabled,
@@ -62,7 +60,6 @@ from repro.mcmc.diagnostics import (
 )
 from repro.mcmc.speculative import (
     MultiproposalChain,
-    MultiproposalResult,
     SpeculativeChain,
     speculative_speedup,
 )
@@ -94,8 +91,6 @@ __all__ = [
     "NullMove",
     "MoveGenerator",
     "metropolis_hastings_step",
-    "multiproposal_step",
-    "MultiproposalRound",
     "evaluate_move",
     "price_move",
     "legacy_kernel",
@@ -111,7 +106,6 @@ __all__ = [
     "SpeculativeChain",
     "speculative_speedup",
     "MultiproposalChain",
-    "MultiproposalResult",
     "MetropolisCoupledChains",
     "SampleCollector",
     "PosteriorSummary",

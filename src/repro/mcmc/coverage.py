@@ -38,17 +38,6 @@ summation order depends on the compressed length, so the gather cannot
 be fused into a masked reduction without changing last-ulp rounding —
 bit-parity wins over the last allocation).
 
-A third path batches the trial protocol across proposals:
-:meth:`trial_price_batch` rasterises every disc of K independent
-candidate moves in one stacked numpy pass over persistent
-``(N, H, W)`` scratch, then prices each candidate against the counts
-overlaid with *its own* earlier ops only (candidates are alternative
-futures of the same state).  The stacked window mirrors
-:meth:`_trial_window` element-for-element — padded rows/columns are
-forced to ``+inf`` so they can never pass the ``<= r²`` test — and the
-per-op boundary gathers reuse the sequential scratch, so every batched
-delta is bit-identical to the corresponding sequential trial call.
-
 Removal cache
 -------------
 At the chain's 1–4 % acceptance rate the same circle's removal is
@@ -70,10 +59,10 @@ cached grid instead of a new window; an add that leaves the grown
 window takes the ordinary path.  Committing any op clears the sum and
 post-removal window of every entry whose grown window it touches, and
 committing a removal evicts that geometry's entry, so the cache holds
-at most one entry per live disc geometry.  ``reset``, ``rebuild_from``,
-the counts-only and legacy mutators and ``commit_batch_group``
-invalidate the same way.  Evicted entries keep their buffers for reuse,
-and the cache is derived state that pickling drops.
+at most one entry per live disc geometry.  ``reset``, ``rebuild_from``
+and the counts-only and legacy mutators invalidate the same way.
+Evicted entries keep their buffers for reuse, and the cache is derived
+state that pickling drops.
 
 Every served value is bit-identical to a fresh computation: the grid
 holds the same elementwise ``(col − lx)² + (row − ly)²`` floats the
@@ -189,26 +178,9 @@ class CoverageRaster:
         "_newly_flat",
         "_mask_pool",
         "_pending",
-        "_batch_groups",
         "_removals",
         "_spare_entries",
         "_removal_weights",
-        "_b_cap",
-        "_b_r0f",
-        "_b_c0f",
-        "_b_hlen",
-        "_b_wlen",
-        "_b_lx",
-        "_b_ly",
-        "_b_r2",
-        "_b_dy2",
-        "_b_dx2",
-        "_b_padh",
-        "_b_padw",
-        "_b_sq",
-        "_b_mask",
-        "_b_arange",
-        "_b_arangef",
     )
 
     def __init__(
@@ -248,10 +220,6 @@ class CoverageRaster:
         self._newly_flat = np.empty(0, dtype=bool)
         self._mask_pool: List[np.ndarray] = []
         self._pending: List[_PendingOp] = []
-        # Stacked-batch state: staged candidate groups plus the lazily
-        # grown (N, H, W) scratch of trial_price_batch.
-        self._batch_groups: List[List[_PendingOp]] = []
-        self._b_cap = (0, 0, 0)
         # Removal cache: live entries by geometry, recycled entries, and
         # the weight map the cached sums were taken against.
         self._removals: Dict[Tuple[float, float, float], _RemovalEntry] = {}
@@ -273,7 +241,7 @@ class CoverageRaster:
         and the centre grids / window scratch only ever grow.  A longer
         centre grid slices identically to a freshly built one, so a
         reused raster is bit-identical to a new ``CoverageRaster``.
-        Pending trial ops and staged batches must be resolved first.
+        Pending trial ops must be resolved first.
         """
         if height <= 0 or width <= 0:
             raise ChainError(f"raster must be non-empty, got {height}x{width}")
@@ -319,12 +287,6 @@ class CoverageRaster:
     def pending_count(self) -> int:
         """Number of uncommitted trial rasterisations."""
         return len(self._pending)
-
-    @property
-    def batch_pending_count(self) -> int:
-        """Number of staged proposal-batch groups awaiting
-        :meth:`commit_batch_group` / :meth:`discard_batch`."""
-        return len(self._batch_groups)
 
     # -- disc rasterisation (legacy / reference path) --------------------------
     def _disc_window(self, x: float, y: float, r: float):
@@ -479,15 +441,7 @@ class CoverageRaster:
         return r0, r1, c0, c1, self._disc_mask(lx, ly, r, r0, r1, c0, c1, slot)
 
     def _effective_counts(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """The window's counts as pending trial ops would leave them."""
-        return self._overlaid_counts(r0, r1, c0, c1, self._pending)
-
-    def _overlaid_counts(
-        self, r0: int, r1: int, c0: int, c1: int, pending: List[_PendingOp]
-    ) -> np.ndarray:
-        """The window's counts as the given uncommitted ops would leave
-        them (the sequential path passes ``self._pending``; the batch
-        path passes one candidate group's earlier ops).
+        """The window's counts as the pending trial ops would leave them.
 
         When no op intersects the window this is a zero-copy view;
         otherwise the window is copied into scratch and each mask is
@@ -495,7 +449,7 @@ class CoverageRaster:
         path would have produced by mutating in sequence.
         """
         patch = self.counts[r0:r1, c0:c1]
-        for op in pending:
+        for op in self._pending:
             if op.row0 < r1 and r0 < op.row1 and op.col0 < c1 and c0 < op.col1:
                 break
         else:
@@ -504,7 +458,7 @@ class CoverageRaster:
         wlen = c1 - c0
         buf = self._cnt_flat[: hlen * wlen].reshape(hlen, wlen)
         np.copyto(buf, patch)
-        for op in pending:
+        for op in self._pending:
             ir0 = max(r0, op.row0)
             ir1 = min(r1, op.row1)
             ic0 = max(c0, op.col0)
@@ -730,194 +684,11 @@ class CoverageRaster:
         never touched, so this is O(pending)."""
         self._pending.clear()
 
-    # -- stacked multiproposal pricing ----------------------------------------
-    def _ensure_batch_scratch(self, n: int, hmax: int, wmax: int) -> None:
-        """Grow the stacked batch scratch to hold *n* windows of up to
-        ``hmax × wmax`` pixels; steady state is a no-op (caps only grow,
-        doubling along whichever axis overflowed)."""
-        cn, ch, cw = self._b_cap
-        if n <= cn and hmax <= ch and wmax <= cw:
-            return
-        cn = cn if n <= cn else max(n, 2 * cn)
-        ch = ch if hmax <= ch else max(hmax, 2 * ch)
-        cw = cw if wmax <= cw else max(wmax, 2 * cw)
-        self._b_cap = (cn, ch, cw)
-        self._b_r0f = np.empty(cn, dtype=np.float64)
-        self._b_c0f = np.empty(cn, dtype=np.float64)
-        self._b_hlen = np.empty(cn, dtype=np.intp)
-        self._b_wlen = np.empty(cn, dtype=np.intp)
-        self._b_lx = np.empty(cn, dtype=np.float64)
-        self._b_ly = np.empty(cn, dtype=np.float64)
-        self._b_r2 = np.empty(cn, dtype=np.float64)
-        self._b_dy2 = np.empty((cn, ch), dtype=np.float64)
-        self._b_dx2 = np.empty((cn, cw), dtype=np.float64)
-        self._b_padh = np.empty((cn, ch), dtype=bool)
-        self._b_padw = np.empty((cn, cw), dtype=bool)
-        self._b_sq = np.empty((cn, ch, cw), dtype=np.float64)
-        self._b_mask = np.empty((cn, ch, cw), dtype=bool)
-        self._b_arange = np.arange(max(ch, cw), dtype=np.intp)
-        self._b_arangef = np.arange(max(ch, cw), dtype=np.float64)
-
-    def trial_price_batch(self, groups, weights: np.ndarray):
-        """Price several independent candidate groups of disc ops in one
-        stacked rasterisation pass.
-
-        *groups* is a sequence of per-candidate op lists, each op a
-        ``(sign, x, y, r)`` tuple (+1 add, −1 remove) in the exact order
-        the sequential trial path would issue them.  Returns one list of
-        raw weighted sums per group — the same Σ weights over 0 ↔ >0
-        boundary pixels the ``trial_*`` methods return, each computed
-        against the counts overlaid with the *group's own* earlier ops
-        only: groups are alternative futures of the same state, so they
-        never see each other.
-
-        The stacked window mirrors :meth:`_trial_window`
-        element-for-element, so every delta is bit-identical to the
-        corresponding sequential ``trial_add_disc`` /
-        ``trial_remove_disc`` call.  Masks stay staged until
-        :meth:`commit_batch_group` (apply one winning group) followed by
-        :meth:`discard_batch`.
-        """
-        self._check_no_pending("trial_price_batch")
-        h, w = self.counts.shape
-        # Pass A: scalar window bounds per op (the same arithmetic as
-        # the sequential window).  Degenerate windows price to exactly
-        # 0.0 and stage no mask, like the sequential path.
-        windows = []  # per-op: (r0, r1, c0, c1, lx, ly, r) or None
-        hmax = wmax = 0
-        n_live = 0
-        for ops in groups:
-            for _sign, x, y, r in ops:
-                lx = x - self.col_offset
-                ly = y - self.row_offset
-                c0 = max(0, int(math.floor(lx - r - 0.5)))
-                c1 = min(w, int(math.ceil(lx + r + 0.5)))
-                r0 = max(0, int(math.floor(ly - r - 0.5)))
-                r1 = min(h, int(math.ceil(ly + r + 0.5)))
-                if c1 <= c0 or r1 <= r0:
-                    windows.append(None)
-                    continue
-                windows.append((r0, r1, c0, c1, lx, ly, r))
-                hmax = max(hmax, r1 - r0)
-                wmax = max(wmax, c1 - c0)
-                n_live += 1
-        if n_live:
-            self._rasterise_batch(windows, n_live, hmax, wmax)
-            # The boundary/overlay gathers below reuse the sequential
-            # window scratch — grow it once for the largest window.
-            self._ensure_scratch(hmax * wmax, 0)
-        # Pass C: per-candidate pricing against group-local overlays;
-        # identical gather + pairwise sum as the sequential trial path.
-        results = []
-        staged: List[List[_PendingOp]] = []
-        li = 0  # cursor over live (rasterised) windows
-        wi = 0  # cursor over all windows
-        for ops in groups:
-            gmasks: List[_PendingOp] = []
-            deltas = []
-            for sign, x, y, r in ops:
-                win = windows[wi]
-                wi += 1
-                if win is None:
-                    deltas.append(0.0)
-                    continue
-                r0, r1, c0, c1 = win[:4]
-                hlen = r1 - r0
-                wlen = c1 - c0
-                mask = self._b_mask[li, :hlen, :wlen]
-                li += 1
-                patch = self._overlaid_counts(r0, r1, c0, c1, gmasks)
-                if sign < 0 and self.debug_checks and np.any(patch[mask] <= 0):
-                    raise ChainError(
-                        f"coverage underflow removing disc ({x:.2f}, {y:.2f}, r={r:.2f})"
-                    )
-                boundary = self._newly_flat[: hlen * wlen].reshape(hlen, wlen)
-                np.equal(patch, 0 if sign > 0 else 1, out=boundary)
-                np.logical_and(mask, boundary, out=boundary)
-                deltas.append(float(weights[r0:r1, c0:c1][boundary].sum()))
-                if sign > 0:
-                    gmasks.append(_PendingOp(r0, r1, c0, c1, mask, 1))
-                else:
-                    gmasks.append(_PendingOp(r0, r1, c0, c1, mask, -1,
-                                             self._removals.get((x, y, r))))
-            staged.append(gmasks)
-            results.append(deltas)
-        self._batch_groups = staged
-        return results
-
-    def _rasterise_batch(self, windows, n: int, hmax: int, wmax: int) -> None:
-        """One stacked :meth:`_trial_window` over the *n* live windows.
-
-        The pixel-centre coordinate ``k + 0.5`` is exact in float64, so
-        building it as ``(r0 + j) + 0.5`` is bit-identical to gathering
-        from the precomputed centre grid; the subtract / square /
-        broadcast-add / compare sequence then mirrors the sequential
-        window op-for-op.  Rows and columns beyond a window's true
-        extent are forced to ``+inf`` before the squared radii are
-        summed, so padding can never satisfy the ``<= r²`` test.
-        """
-        self._ensure_batch_scratch(n, hmax, wmax)
-        i = 0
-        for win in windows:
-            if win is None:
-                continue
-            r0, r1, c0, c1, lx, ly, r = win
-            self._b_r0f[i] = r0
-            self._b_c0f[i] = c0
-            self._b_hlen[i] = r1 - r0
-            self._b_wlen[i] = c1 - c0
-            self._b_lx[i] = lx
-            self._b_ly[i] = ly
-            self._b_r2[i] = r * r
-            i += 1
-        ar_h = self._b_arange[:hmax]
-        ar_w = self._b_arange[:wmax]
-        dy2 = self._b_dy2[:n, :hmax]
-        np.add(self._b_r0f[:n, None], self._b_arangef[None, :hmax], out=dy2)
-        np.add(dy2, 0.5, out=dy2)  # == row_centres[r0 + j], exactly
-        np.subtract(dy2, self._b_ly[:n, None], out=dy2)
-        np.multiply(dy2, dy2, out=dy2)
-        padh = self._b_padh[:n, :hmax]
-        np.greater_equal(ar_h[None, :], self._b_hlen[:n, None], out=padh)
-        np.copyto(dy2, np.inf, where=padh)
-        dx2 = self._b_dx2[:n, :wmax]
-        np.add(self._b_c0f[:n, None], self._b_arangef[None, :wmax], out=dx2)
-        np.add(dx2, 0.5, out=dx2)
-        np.subtract(dx2, self._b_lx[:n, None], out=dx2)
-        np.multiply(dx2, dx2, out=dx2)
-        padw = self._b_padw[:n, :wmax]
-        np.greater_equal(ar_w[None, :], self._b_wlen[:n, None], out=padw)
-        np.copyto(dx2, np.inf, where=padw)
-        sq = self._b_sq[:n, :hmax, :wmax]
-        np.copyto(sq, dx2[:, None, :])
-        np.add(sq, dy2[:, :, None], out=sq)
-        mask3 = self._b_mask[:n, :hmax, :wmax]
-        np.less_equal(sq, self._b_r2[:n, None, None], out=mask3)
-
-    def commit_batch_group(self, group: int) -> None:
-        """Apply one staged group's masks to ``counts`` (the winning
-        candidate of a multiproposal round) — the same in-place
-        add/subtract sequence as :meth:`commit_pending`.  The batch
-        stays staged until :meth:`discard_batch`; committing twice
-        without re-pricing corrupts the counts, so the kernel always
-        pairs this with an immediate discard."""
-        self._apply(self._batch_groups[group])
-
-    def discard_batch(self) -> None:
-        """Drop every staged batch group (the stacked mask scratch is
-        reused by the next batch)."""
-        self._batch_groups.clear()
-
     def _check_no_pending(self, op_name: str) -> None:
         if self._pending:
             raise ChainError(
                 f"{op_name} called with {len(self._pending)} uncommitted trial "
                 "op(s); commit_pending() or discard_pending() first"
-            )
-        if self._batch_groups:
-            raise ChainError(
-                f"{op_name} called with {len(self._batch_groups)} staged proposal-"
-                "batch group(s); commit_batch_group() and/or discard_batch() first"
             )
 
     # -- queries -----------------------------------------------------------------

@@ -43,9 +43,8 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
-from repro.errors import ChainError
 from repro.mcmc.moves import Move, MoveGenerator, NullMove
 from repro.mcmc.posterior import PosteriorState
 from repro.mcmc.spec import MoveType
@@ -53,9 +52,7 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "StepResult",
-    "MultiproposalRound",
     "metropolis_hastings_step",
-    "multiproposal_step",
     "evaluate_move",
     "price_move",
     "trial_kernel_enabled",
@@ -154,156 +151,6 @@ def metropolis_hastings_step(
     move.unapply(post)
     return StepResult(move.move_type, proposed=True, accepted=False,
                       log_alpha=log_alpha, delta=0.0)
-
-
-@dataclass(frozen=True, slots=True)
-class MultiproposalRound:
-    """Outcome of one K-way multiproposal round.
-
-    ``results`` holds one :class:`StepResult` per *considered* proposal
-    (draw order, up to and including the winner); proposals after an
-    acceptance are never evaluated, exactly like K sequential MH steps
-    cut short by an early commit.  ``consumed`` — the chain iterations
-    this round accounts for — is therefore ``len(results)``.
-    """
-
-    consumed: int
-    accepted: bool
-    winner: int  #: index of the accepted proposal in draw order, or −1
-    delta: float  #: applied log-posterior change (0.0 when nothing accepted)
-    results: Tuple[StepResult, ...]
-
-
-def multiproposal_step(
-    post: PosteriorState,
-    gen: MoveGenerator,
-    stream: RngStream,
-    width: int,
-    temperature: float = 1.0,
-    batch: bool = True,
-) -> MultiproposalRound:
-    """Advance the chain by one K-way multiproposal round.
-
-    Draws *width* proposals from the current state, prices them, and
-    selects by the exact-distribution rule: walk the candidates in draw
-    order and accept the first whose MH test passes.  Because a
-    rejected MH step leaves the state unchanged, this is identical in
-    law to ``width`` sequential :func:`metropolis_hastings_step` calls
-    truncated at the first acceptance — and for ``width == 1`` it is
-    the same computation bit-for-bit (same RNG consumption, same
-    floats).
-
-    With ``batch=True`` (and the trial kernel enabled) all candidates
-    are priced through the posterior's deferred mode and one stacked
-    rasterisation (:meth:`PosteriorState.price_deferred_batch`);
-    ``batch=False`` prices each candidate lazily through the ordinary
-    sequential protocol with the identical RNG consumption order — the
-    bitwise reference the batched path is gated against at every K.
-
-    ``temperature`` divides the posterior delta (MC3 tempered chains);
-    1.0 — an exact IEEE no-op division — reproduces the plain kernel.
-    """
-    if width < 1:
-        raise ChainError(f"multiproposal width must be >= 1, got {width}")
-    if not temperature > 0.0:
-        raise ChainError(f"temperature must be positive, got {temperature}")
-    # All candidates are generated from the unchanged pre-round state —
-    # the same draws a sequential run would make, since rejected steps
-    # leave the state (and therefore later generations) untouched.
-    moves = [gen.generate(post, stream) for _ in range(width)]
-    if batch and _TRIAL_KERNEL:
-        return _batched_round(post, moves, stream, temperature)
-    return _sequential_round(post, moves, stream, temperature)
-
-
-def _sequential_round(
-    post: PosteriorState, moves: List[Move], stream: RngStream, temperature: float
-) -> MultiproposalRound:
-    """Reference selection: price candidates lazily in draw order via
-    the ordinary (trial or legacy) protocol, committing the first
-    acceptance.  RNG consumption matches the batched path exactly."""
-    results: List[StepResult] = []
-    for move in moves:
-        if isinstance(move, NullMove) or not move.is_valid(post):
-            results.append(StepResult(move.move_type, proposed=False, accepted=False,
-                                      log_alpha=-math.inf, delta=0.0))
-            continue
-        log_fwd = move.log_forward_density(post)
-        delta = move.price(post) if _TRIAL_KERNEL else move.apply(post)
-        log_rev = move.log_reverse_density(post)
-        log_alpha = delta / temperature + log_rev - log_fwd + move.log_jacobian()
-        if log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha:
-            if _TRIAL_KERNEL:
-                move.commit(post)
-            results.append(StepResult(move.move_type, proposed=True, accepted=True,
-                                      log_alpha=log_alpha, delta=delta))
-            return MultiproposalRound(consumed=len(results), accepted=True,
-                                      winner=len(results) - 1, delta=delta,
-                                      results=tuple(results))
-        if _TRIAL_KERNEL:
-            move.rollback(post)
-        else:
-            move.unapply(post)
-        results.append(StepResult(move.move_type, proposed=True, accepted=False,
-                                  log_alpha=log_alpha, delta=0.0))
-    return MultiproposalRound(consumed=len(results), accepted=False, winner=-1,
-                              delta=0.0, results=tuple(results))
-
-
-def _batched_round(
-    post: PosteriorState, moves: List[Move], stream: RngStream, temperature: float
-) -> MultiproposalRound:
-    """Batched selection: defer every candidate's rasterisations, price
-    them all in one stacked pass, then run the accept draws."""
-    # Pass 1: per candidate — forward density, deferred price (config
-    # mutations + term program, no raster work), reverse density, then
-    # rollback so the next candidate prices against the pre-round state.
-    infos = []
-    programs = []
-    for move in moves:
-        if isinstance(move, NullMove) or not move.is_valid(post):
-            infos.append(None)
-            continue
-        log_fwd = move.log_forward_density(post)
-        post.begin_deferred_move()
-        move.price(post)
-        log_rev = move.log_reverse_density(post)
-        programs.append(post.end_deferred_move())
-        move.rollback(post)
-        infos.append((log_fwd, log_rev, move.log_jacobian()))
-    # Pass 2: one stacked rasterisation prices every candidate.
-    priced = post.price_deferred_batch(programs) if programs else []
-    # Pass 3: accept draws in draw order; the first acceptance wins —
-    # its config ops are replayed and its staged masks committed.
-    results: List[StepResult] = []
-    accepted = False
-    winner = -1
-    out_delta = 0.0
-    group = 0
-    for i, move in enumerate(moves):
-        info = infos[i]
-        if info is None:
-            results.append(StepResult(move.move_type, proposed=False, accepted=False,
-                                      log_alpha=-math.inf, delta=0.0))
-            continue
-        log_fwd, log_rev, jac = info
-        prim_deltas, delta = priced[group]
-        log_alpha = delta / temperature + log_rev - log_fwd + jac
-        if log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha:
-            move.reapply(post)
-            post.commit_deferred(group, prim_deltas)
-            results.append(StepResult(move.move_type, proposed=True, accepted=True,
-                                      log_alpha=log_alpha, delta=delta))
-            accepted = True
-            winner = i
-            out_delta = delta
-            break
-        results.append(StepResult(move.move_type, proposed=True, accepted=False,
-                                  log_alpha=log_alpha, delta=0.0))
-        group += 1
-    post.discard_deferred_batch()
-    return MultiproposalRound(consumed=len(results), accepted=accepted, winner=winner,
-                              delta=out_delta, results=tuple(results))
 
 
 def price_move(post: PosteriorState, move: Move) -> Optional[float]:

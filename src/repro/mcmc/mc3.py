@@ -21,7 +21,7 @@ from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.mcmc.diagnostics import AcceptanceStats, Trace
-from repro.mcmc.kernel import multiproposal_step, trial_kernel_enabled
+from repro.mcmc.kernel import trial_kernel_enabled
 from repro.mcmc.moves import MoveGenerator, NullMove
 from repro.mcmc.posterior import PosteriorState
 from repro.utils.rng import SeedLike, coerce_stream
@@ -151,68 +151,11 @@ class MetropolisCoupledChains:
             self.posts[i], self.posts[j] = self.posts[j], self.posts[i]
             self.swap_accepts += 1
 
-    def _tempered_round(self, k: int, max_width: int) -> int:
-        """One batched multiproposal round of chain *k* at temperature
-        T_k; returns iterations consumed (first acceptance wins, so the
-        per-chain law matches :meth:`_tempered_step` exactly)."""
-        width = min(self.gens[k].move_config.proposal_batch, max_width)
-        round_ = multiproposal_step(
-            self.posts[k],
-            self.gens[k],
-            self._chain_streams[k],
-            max(1, width),
-            temperature=self.temperatures[k],
-        )
-        if k == 0:
-            for res in round_.results:
-                self.cold_stats.record(res.move_type, res.proposed, res.accepted)
-        return round_.consumed
-
-    def _run_multiproposal(self, iterations: int) -> MC3Result:
-        """Round-based driver used when a generator opts into batched
-        multiproposal rounds (``move_config.proposal_batch >= 1``).
-
-        Chains advance independently between synchronisation boundaries
-        (swap and trace points), each in rounds truncated so every chain
-        lands exactly on the boundary.  At width 1 this reproduces
-        :meth:`run`'s step loop bit-for-bit: per-chain RNG streams are
-        private, so de-interleaving the chains between boundaries cannot
-        change any draw, state, or recorded value.
-        """
-        target = self.iteration + iterations
-        next_swap = (self.iteration // self.swap_every + 1) * self.swap_every
-        next_record = (self.iteration // self.record_every + 1) * self.record_every
-        while self.iteration < target:
-            boundary = min(target, next_swap, next_record)
-            segment = boundary - self.iteration
-            for k in range(len(self.posts)):
-                done = 0
-                while done < segment:
-                    done += self._tempered_round(k, segment - done)
-            self.iteration = boundary
-            if self.iteration == next_swap:
-                self._attempt_swap()
-                next_swap += self.swap_every
-            if self.iteration == next_record:
-                self.cold_posterior_trace.record(
-                    self.iteration, self.posts[0].log_posterior
-                )
-                next_record += self.record_every
-        return MC3Result(
-            iterations=self.iteration,
-            swap_attempts=self.swap_attempts,
-            swap_accepts=self.swap_accepts,
-            cold_posterior_trace=self.cold_posterior_trace,
-            cold_stats=self.cold_stats,
-        )
-
     # -- driver ------------------------------------------------------------------
     def run(self, iterations: int) -> MC3Result:
         """Advance every chain by *iterations* steps with periodic swaps."""
         if iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
-        if any(g.move_config.proposal_batch >= 1 for g in self.gens):
-            return self._run_multiproposal(iterations)
         for _ in range(iterations):
             for k in range(len(self.posts)):
                 self._tempered_step(k)

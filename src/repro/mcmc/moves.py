@@ -156,18 +156,6 @@ class Move:
         """Undo a rejected :meth:`price`."""
         self.unapply(post)
 
-    def reapply(self, post: PosteriorState) -> None:
-        """Redo this move's configuration mutations after a rollback.
-
-        The multiproposal round prices every candidate and rolls each
-        back before selecting; the winner's config ops are then replayed
-        in the exact order :meth:`price` issued them.  Because rollback
-        restored the free list (LIFO) and the spatial hash to their
-        pre-round state, replaying re-lands every circle in the same
-        slot — enforced by the index-identity checks below.
-        """
-        raise NotImplementedError
-
 
 class NullMove(Move):
     """A proposal that could not be generated (e.g. death on an empty
@@ -245,12 +233,6 @@ class BirthMove(Move):
         post.discard_trial()
         post.rollback_insert(self._idx)
 
-    def reapply(self, post: PosteriorState) -> None:
-        if self._idx is None:
-            raise ChainError("BirthMove.reapply before price")
-        if post.config.add(self.x, self.y, self.r) != self._idx:
-            raise ChainError("birth reapply landed in a different slot")
-
 
 class DeathMove(Move):
     """Delete circle *idx* (selected uniformly)."""
@@ -302,11 +284,6 @@ class DeathMove(Move):
             raise ChainError("DeathMove.rollback before price")
         post.discard_trial()
         post.rollback_delete(self._removed)
-
-    def reapply(self, post: PosteriorState) -> None:
-        if self._removed is None:
-            raise ChainError("DeathMove.reapply before price")
-        post.config.remove(self.idx)
 
 
 class ReplaceMove(Move):
@@ -379,13 +356,6 @@ class ReplaceMove(Move):
         # restore the old one into its recycled slot.
         post.rollback_insert(self._new_idx)
         post.rollback_delete(self._removed)
-
-    def reapply(self, post: PosteriorState) -> None:
-        if self._removed is None or self._new_idx is None:
-            raise ChainError("ReplaceMove.reapply before price")
-        post.config.remove(self.idx)
-        if post.config.add(self.x, self.y, self.r) != self._new_idx:
-            raise ChainError("replace reapply landed in a different slot")
 
 
 class SplitMove(Move):
@@ -494,15 +464,6 @@ class SplitMove(Move):
                 f"split rollback restored index {restored}, expected {self.idx}"
             )
 
-    def reapply(self, post: PosteriorState) -> None:
-        if self._removed is None or self._i1 is None or self._i2 is None:
-            raise ChainError("SplitMove.reapply before price")
-        post.config.remove(self.idx)
-        i1 = post.config.add(self.c1.x, self.c1.y, self.c1.r)
-        i2 = post.config.add(self.c2.x, self.c2.y, self.c2.r)
-        if i1 != self._i1 or i2 != self._i2:
-            raise ChainError("split reapply landed in different slots")
-
 
 class MergeMove(Move):
     """Merge circles *i* and *j* into their exact split-inverse."""
@@ -607,14 +568,6 @@ class MergeMove(Move):
                 f"({self.i}, {self.j})"
             )
 
-    def reapply(self, post: PosteriorState) -> None:
-        if self._idx_m is None:
-            raise ChainError("MergeMove.reapply before price")
-        post.config.remove(self.i)
-        post.config.remove(self.j)
-        if post.config.add(self.merged.x, self.merged.y, self.merged.r) != self._idx_m:
-            raise ChainError("merge reapply landed in a different slot")
-
 
 class TranslateMove(Move):
     """Perturb circle *idx*'s centre (local move; symmetric bounded
@@ -679,11 +632,6 @@ class TranslateMove(Move):
         post.discard_trial()
         post.rollback_move(self.idx, self._old[0], self._old[1])
 
-    def reapply(self, post: PosteriorState) -> None:
-        if self._old is None:
-            raise ChainError("TranslateMove.reapply before price")
-        post.config.move_center(self.idx, self.new_x, self.new_y)
-
 
 class ResizeMove(Move):
     """Perturb circle *idx*'s radius (local move; symmetric bounded
@@ -746,11 +694,6 @@ class ResizeMove(Move):
             raise ChainError("ResizeMove.rollback before price")
         post.discard_trial()
         post.rollback_resize(self.idx, self._old_r)
-
-    def reapply(self, post: PosteriorState) -> None:
-        if self._old_r is None:
-            raise ChainError("ResizeMove.reapply before price")
-        post.config.set_radius(self.idx, self.new_r)
 
 
 def _log_merge_pair_density(

@@ -41,34 +41,7 @@ from repro.mcmc.prior import CountPrior, OverlapPrior, PositionPrior, RadiusPrio
 from repro.mcmc.spec import ModelSpec
 from repro.mcmc.state import CircleConfiguration
 
-__all__ = ["PosteriorState", "DeferredProgram"]
-
-
-#: Sentinel marking a likelihood term inside a deferred pricing program:
-#: resolved after the stacked rasterisation by applying ∓beta to the raw
-#: boundary-pixel weight sum of the matching disc op.
-_LIKE = object()
-
-
-class DeferredProgram:
-    """The replayable pricing program of one candidate move.
-
-    ``terms`` holds one list per trial primitive: plain floats are
-    scalar prior/energy terms already evaluated against the candidate's
-    configuration (subtracted terms stored negated — IEEE subtraction
-    is addition of the negation, bit-for-bit), and the ``_LIKE``
-    sentinel marks where a likelihood delta belongs.  ``ops`` lists the
-    candidate's disc rasterisations as ``(sign, x, y, r)`` in issue
-    order; sentinel occurrences correspond to ops one-for-one.  Folding
-    the resolved terms left-associatively reproduces each primitive's
-    sequential delta bit-exactly.
-    """
-
-    __slots__ = ("terms", "ops")
-
-    def __init__(self) -> None:
-        self.terms: List[list] = []
-        self.ops: List[Tuple[int, float, float, float]] = []
+__all__ = ["PosteriorState"]
 
 
 class PosteriorState:
@@ -134,8 +107,6 @@ class PosteriorState:
         #: per primitive so commit replays the exact `+=` sequence the
         #: legacy apply path performed (bit-parity of the cached value).
         self._trial_deltas: List[float] = []
-        #: active deferred pricing program (multiproposal pass 1), or None.
-        self._deferred: Optional[DeferredProgram] = None
         #: overlap energy of removed disc geometries, valid until the
         #: configuration next changes for good (see the module notes).
         self._removal_energy: Dict[Tuple[float, float, float], float] = {}
@@ -265,23 +236,6 @@ class PosteriorState:
             raise ChainError(f"insert at ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
         if not self.radius_in_bounds(r):
             raise ChainError(f"insert with radius {r:.2f} outside prior bounds")
-        prog = self._deferred
-        if prog is not None:
-            # Deferred: record the scalar terms (evaluated against the
-            # same just-mutated configuration) and enqueue the disc op;
-            # the rasterisation happens in the stacked batch pass.
-            n_before = self.config.n
-            terms = [
-                self.count_prior.delta_birth(n_before),
-                self.position_prior.per_circle(),
-                self.radius_prior.log_pdf(r),
-                self.overlap_prior.circle_energy(self.config, x, y, r),
-            ]
-            idx = self.config.add(x, y, r)
-            prog.ops.append((1, x, y, r))
-            terms.append(_LIKE)
-            prog.terms.append(terms)
-            return idx, 0.0
         n_before = self.config.n
         delta = self.count_prior.delta_birth(n_before)
         delta += self.position_prior.per_circle()
@@ -294,22 +248,6 @@ class PosteriorState:
 
     def trial_delete_circle(self, idx: int) -> Tuple[Circle, float]:
         """Price removing circle *idx*; returns (removed circle, delta)."""
-        prog = self._deferred
-        if prog is not None:
-            n_before = self.config.n
-            removed = self.config.remove(idx)
-            terms = [
-                self.count_prior.delta_death(n_before),
-                -self.position_prior.per_circle(),
-                -self.radius_prior.log_pdf(removed.r),
-                -self.overlap_prior.circle_energy(
-                    self.config, removed.x, removed.y, removed.r
-                ),
-            ]
-            prog.ops.append((-1, removed.x, removed.y, removed.r))
-            terms.append(_LIKE)
-            prog.terms.append(terms)
-            return removed, 0.0
         first = not self._trial_deltas
         n_before = self.config.n
         removed = self.config.remove(idx)
@@ -329,23 +267,6 @@ class PosteriorState:
         """Price translating circle *idx*; returns (old centre, delta)."""
         if not self.centre_in_bounds(x, y):
             raise ChainError(f"move to ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
-        prog = self._deferred
-        if prog is not None:
-            r = self.config.radius_of(idx)
-            ox, oy = self.config.position_of(idx)
-            terms: list = [
-                -self.overlap_prior.circle_energy(self.config, ox, oy, r, exclude=(idx,))
-            ]
-            prog.ops.append((-1, ox, oy, r))
-            terms.append(_LIKE)
-            self.config.move_center(idx, x, y)
-            terms.append(
-                self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
-            )
-            prog.ops.append((1, x, y, r))
-            terms.append(_LIKE)
-            prog.terms.append(terms)
-            return (ox, oy), 0.0
         r = self.config.radius_of(idx)
         ox, oy = self.config.position_of(idx)
         delta = -self._overlap_energy(ox, oy, r, (idx,), not self._trial_deltas)
@@ -360,26 +281,6 @@ class PosteriorState:
         """Price resizing circle *idx*; returns (old radius, delta)."""
         if not self.radius_in_bounds(r):
             raise ChainError(f"resize to {r:.2f} outside prior bounds")
-        prog = self._deferred
-        if prog is not None:
-            x, y = self.config.position_of(idx)
-            old_r = self.config.radius_of(idx)
-            terms = [
-                self.radius_prior.log_pdf(r) - self.radius_prior.log_pdf(old_r),
-                -self.overlap_prior.circle_energy(
-                    self.config, x, y, old_r, exclude=(idx,)
-                ),
-            ]
-            prog.ops.append((-1, x, y, old_r))
-            terms.append(_LIKE)
-            self.config.set_radius(idx, r)
-            terms.append(
-                self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
-            )
-            prog.ops.append((1, x, y, r))
-            terms.append(_LIKE)
-            prog.terms.append(terms)
-            return old_r, 0.0
         x, y = self.config.position_of(idx)
         old_r = self.config.radius_of(idx)
         delta = self.radius_prior.log_pdf(r) - self.radius_prior.log_pdf(old_r)
@@ -426,90 +327,6 @@ class PosteriorState:
         exact inverse config ops the legacy unapply performed."""
         self.coverage.discard_pending()
         self._trial_deltas.clear()
-
-    # -- deferred pricing (multiproposal rounds) --------------------------------
-    #
-    # A multiproposal round prices K candidate moves against the SAME
-    # current state.  Pass 1 runs each move's ordinary price() with the
-    # posterior in *deferred* mode: the trial primitives mutate the
-    # configuration and evaluate their scalar prior/energy terms exactly
-    # as usual, but instead of rasterising discs they record a
-    # replayable pricing program (DeferredProgram); the move is then
-    # rolled back so the next candidate prices against the original
-    # state.  Pass 2 resolves every program's disc ops in one stacked
-    # rasterisation (CoverageRaster.trial_price_batch) and folds each
-    # primitive's terms back together — bit-identical to the deltas the
-    # sequential trial path would have produced, because the scalar
-    # terms were computed by the same code against the same
-    # configuration and the batched gathers mirror the sequential ones
-    # element-for-element.
-
-    def begin_deferred_move(self) -> None:
-        """Enter deferred-pricing mode for one candidate move."""
-        if self._deferred is not None:
-            raise ChainError("begin_deferred_move while a deferred move is open")
-        if self.coverage.pending_count or self._trial_deltas:
-            raise ChainError("begin_deferred_move with uncommitted trial state")
-        self._deferred = DeferredProgram()
-
-    def end_deferred_move(self) -> DeferredProgram:
-        """Leave deferred mode; returns the candidate's pricing program."""
-        prog = self._deferred
-        if prog is None:
-            raise ChainError("end_deferred_move without begin_deferred_move")
-        self._deferred = None
-        return prog
-
-    def price_deferred_batch(self, programs: Sequence[DeferredProgram]):
-        """Resolve a round's pricing programs in one stacked pass.
-
-        Returns one ``(per_primitive_deltas, total)`` pair per program;
-        *total* is the left-associative fold the move's ``price()``
-        would have returned, and the per-primitive deltas are what
-        :meth:`commit_deferred` folds into the cached posterior.  The
-        winning candidate's coverage masks stay staged in the raster
-        until :meth:`commit_deferred` / :meth:`discard_deferred_batch`.
-        """
-        gathers = self.coverage.trial_price_batch(
-            [prog.ops for prog in programs], self.likelihood.turn_on_cost
-        )
-        beta = self.likelihood.beta
-        priced = []
-        for prog, sums in zip(programs, gathers):
-            oi = 0
-            prim_deltas = []
-            for terms in prog.terms:
-                delta = None
-                for t in terms:
-                    if t is _LIKE:
-                        # Same ∓beta scaling as trial_add_disc_delta /
-                        # trial_remove_disc_delta applied to the same
-                        # raw gather — bit-identical likelihood term.
-                        w = sums[oi]
-                        t = -beta * w if prog.ops[oi][0] > 0 else beta * w
-                        oi += 1
-                    delta = t if delta is None else delta + t
-                prim_deltas.append(delta)
-            total = prim_deltas[0]
-            for d in prim_deltas[1:]:
-                total = total + d
-            priced.append((prim_deltas, total))
-        return priced
-
-    def commit_deferred(self, group: int, prim_deltas: Sequence[float]) -> None:
-        """Finalise the winning candidate of a batched round: apply its
-        staged coverage masks and fold its per-primitive deltas into the
-        cached posterior — the same ``+=`` sequence as
-        :meth:`commit_trial`.  The caller must have re-applied the
-        winner's configuration ops first (``Move.reapply``)."""
-        self._removal_energy.clear()
-        self.coverage.commit_batch_group(group)
-        for delta in prim_deltas:
-            self._log_post += delta
-
-    def discard_deferred_batch(self) -> None:
-        """Drop every staged batch mask (end of a round)."""
-        self.coverage.discard_batch()
 
     # Config-only rollback helpers: the inverse configuration mutations
     # of the trial primitives, with the coverage/posterior work (already
@@ -560,18 +377,11 @@ class PosteriorState:
         match — the thorough form of the per-removal underflow guard
         the hot path no longer pays for.
         """
-        if (
-            self.coverage.pending_count
-            or self._trial_deltas
-            or self.coverage.batch_pending_count
-            or self._deferred is not None
-        ):
+        if self.coverage.pending_count or self._trial_deltas:
             raise ChainError(
                 "verify_consistency with uncommitted trial state: "
                 f"{self.coverage.pending_count} pending coverage op(s), "
-                f"{len(self._trial_deltas)} pending delta(s), "
-                f"{self.coverage.batch_pending_count} staged batch group(s), "
-                f"deferred={'open' if self._deferred is not None else 'closed'}"
+                f"{len(self._trial_deltas)} pending delta(s)"
             )
         h, w = self.coverage.shape
         rebuilt = CoverageRaster(

@@ -154,15 +154,6 @@ class MoveConfig:
     split_max_separation:
         Max half-separation *d* of a split; merge partners must lie
         within ``2 * split_max_separation`` of each other.
-    proposal_batch:
-        Multiproposal round width K.  0 (default) keeps the classic
-        one-proposal-per-step kernel; K >= 1 advances every chain in
-        K-way batched rounds (first acceptance in draw order wins —
-        identical in law to K sequential MH steps with early commit).
-        K = 1 is the single-proposal chain bit-for-bit, but routed
-        through the batched engine — the parity suite's hard gate.
-        Changing this changes RNG consumption (hence results) for
-        K > 1, so it is part of the engine request key.
     """
 
     weights: Mapping[MoveType, float] = field(
@@ -179,7 +170,6 @@ class MoveConfig:
     translate_step: float = 3.0
     resize_step: float = 1.5
     split_max_separation: float = 12.0
-    proposal_batch: int = 0
 
     def __post_init__(self) -> None:
         w = dict(self.weights)
@@ -198,10 +188,6 @@ class MoveConfig:
             raise ConfigurationError("translate_step and resize_step must be positive")
         if self.split_max_separation <= 0:
             raise ConfigurationError("split_max_separation must be positive")
-        if not isinstance(self.proposal_batch, int) or self.proposal_batch < 0:
-            raise ConfigurationError(
-                f"proposal_batch must be a non-negative int, got {self.proposal_batch!r}"
-            )
 
     # -- derived quantities --------------------------------------------------
     @property
@@ -238,7 +224,10 @@ class MoveConfig:
         pixel of raster slack).  Features whose disc inflated by this
         margin stays inside a partition are safe to modify concurrently
         with any move in another partition (§V's "sufficiently distant"
-        made precise; proof sketch in DESIGN.md §5).
+        made precise): every prior and likelihood term such a move can
+        change lies within this margin, so no term is shared with a
+        feature modified in another partition.
+        ``tests/partitioning/test_classify.py`` checks it numerically.
         """
         return self.translate_step + self.resize_step + spec.radius_max + 1.0
 

@@ -14,8 +14,7 @@ Two complementary halves:
 * **Simulated execution** — :mod:`repro.parallel.simcluster` /
   :mod:`repro.parallel.machines`: a deterministic timing model of the
   paper's three 2010-era test machines (Q6600, Pentium-D, dual-Xeon),
-  used to reproduce the architecture study without the hardware (see
-  DESIGN.md §2).
+  used to reproduce the architecture study without the hardware.
 """
 
 from repro.parallel.executor import Executor, SerialExecutor, ThreadExecutor

@@ -22,7 +22,7 @@ Overheads are calibrated so the simulator lands near the paper's
 measured reductions (38 % / 29 % / 23 %) *and* reproduces Fig. 2's
 crossover (periodic beats sequential only once global phases exceed a
 few ms) — one constant set satisfies both, which is evidence the model
-captures the right mechanism.  See EXPERIMENTS.md.
+captures the right mechanism.
 """
 
 from __future__ import annotations

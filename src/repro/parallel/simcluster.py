@@ -1,6 +1,6 @@
 """Deterministic timing simulation of periodic-partitioned MCMC runs.
 
-This is the substitution for the paper's hardware study (DESIGN.md §2):
+This stands in for the paper's hardware study:
 given a machine profile, a sequence of cycle specifications (how many
 global iterations, how the local iterations were allocated across
 partitions of which feature counts), the simulator computes the wall

@@ -6,11 +6,14 @@ with anything happening in other partitions — and which must be
 *frozen* but visible as read-only context.
 
 The safety rule (made precise in
-:meth:`repro.mcmc.spec.MoveConfig.local_reach` and DESIGN.md §5): a
-feature is modifiable within partition P iff its disc inflated by the
-local-move reach lies inside P.  Context features are all circles whose
-disc intersects P at all — the partition worker needs them to build its
-coverage raster and to price overlap interactions correctly.
+:meth:`repro.mcmc.spec.MoveConfig.local_reach`): a feature is
+modifiable within partition P iff its disc inflated by the local-move
+reach lies inside P.  Every term a local move of it can change then
+lies inside P, so no concurrent move in another partition shares one;
+``tests/partitioning/test_classify.py`` checks this numerically.
+Context features are all circles whose disc intersects P at all — the
+partition worker needs them to build its coverage raster and to price
+overlap interactions correctly.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 The paper's evaluation is a handful of tables (Table I) and line plots
 (Figs. 1 and 2).  Rather than depending on a plotting stack, the bench
 harness prints the same rows/series as aligned ASCII so results can be
-compared against the paper directly from the terminal and archived in
-EXPERIMENTS.md.
+compared against the paper directly from the terminal.
 """
 
 from __future__ import annotations

@@ -90,6 +90,7 @@ class TestAffinity:
 
 
 class TestFailover:
+    # ~6.5 s: a 6,000-iteration job whose backend dies mid-stream must still finish exactly.
     def test_kill_backend_mid_stream_job_still_completes(self):
         with LocalCluster(n_backends=3, mode="thread", workers=1) as cluster:
             with cluster.client() as client:
@@ -116,6 +117,7 @@ class TestFailover:
             assert stats["n_failovers"] >= 1
             assert stats["n_backends_healthy"] == 2
 
+    # ~3 s: the lost job reruns from scratch: one full 6,000-iteration chain.
     def test_status_polling_recovers_a_lost_job(self):
         with LocalCluster(n_backends=2, mode="thread", workers=1) as cluster:
             with cluster.client() as client:
@@ -167,6 +169,7 @@ class TestFailover:
 
 
 class TestRouterRestart:
+    # ~8 s: router restart + a 6,000-iteration job; replay must keep its id and exact circles.
     def test_pending_jobs_replayed_under_original_ids(self):
         with LocalCluster(n_backends=3, mode="thread", workers=1) as cluster:
             with cluster.client() as client:
@@ -182,6 +185,7 @@ class TestRouterRestart:
             )
             assert sorted(out.circles) == expected
 
+    # ~8 s: the same job, restarted mid-stream; the reconnecting client gets exact circles.
     def test_streaming_client_survives_router_restart(self):
         with LocalCluster(n_backends=3, mode="thread", workers=1) as cluster:
             host, port = cluster.address

@@ -30,6 +30,7 @@ class TestCli:
         assert "Fig. 1" in out
         assert "16 processes" in out
 
+    # ~4 s: seven simulated 500,000-iteration Fig. 2 points, end to end through `repro run fig2`.
     def test_run_fig2(self, capsys):
         assert main(["run", "fig2"]) == 0
         out = capsys.readouterr().out

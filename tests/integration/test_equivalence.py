@@ -65,6 +65,7 @@ def periodic_stats(filtered, spec, seed):
 
 
 class TestMomentAgreement:
+    # ~7.5 s: 4 sequential + 4 periodic 14,000-iteration replicates, compared across runs.
     @pytest.fixture(scope="class")
     def moments(self, problem):
         _, filtered, spec = problem

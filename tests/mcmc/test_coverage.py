@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ChainError
 from repro.mcmc.coverage import CoverageRaster
+from repro.mcmc.posterior import PosteriorState
 
 
 def brute_force_mask(h, w, x, y, r, row_off=0, col_off=0):
@@ -176,3 +177,86 @@ class TestPropertySequences:
             cov.add_disc(x, y, r, w)
             expected += brute_force_mask(30, 30, x, y, r).astype(int)
         assert np.array_equal(cov.counts, expected)
+
+
+# -- raster reuse / reset ----------------------------------------------------
+
+class TestRasterReuse:
+    def test_reset_reuse_is_bit_identical_to_fresh(self):
+        """A raster reset to a smaller window must price and commit
+        exactly as a freshly constructed raster of that window —
+        oversized centre grids slice identically."""
+        rng = np.random.default_rng(3)
+        big_weights = rng.random((48, 48)) * 2.0 - 1.0
+        small_weights = rng.random((20, 24)) * 2.0 - 1.0
+
+        reused = CoverageRaster(48, 48)
+        reused.add_disc(20.0, 20.0, 8.0, big_weights)  # warm scratch
+        reused.reset(20, 24, row_offset=3, col_offset=5)
+        fresh = CoverageRaster(20, 24, row_offset=3, col_offset=5)
+
+        for cov in (reused, fresh):
+            cov.add_disc(12.0, 10.0, 4.0, small_weights)
+        d_reused = reused.trial_add_disc(14.0, 11.0, 3.5, small_weights)
+        d_fresh = fresh.trial_add_disc(14.0, 11.0, 3.5, small_weights)
+        assert d_reused == d_fresh
+        reused.commit_pending()
+        fresh.commit_pending()
+        assert np.array_equal(reused.counts, fresh.counts)
+
+    def test_reset_refuses_pending_state(self):
+        cov = CoverageRaster(16, 16)
+        cov.trial_add_disc(8.0, 8.0, 3.0, np.ones((16, 16)))
+        with pytest.raises(ChainError):
+            cov.reset(16, 16)
+        cov.discard_pending()
+        cov.reset(12, 12)
+        assert cov.counts.shape == (12, 12)
+
+    def test_posterior_adopts_and_resets_raster(self, small_filtered, small_spec):
+        cached = CoverageRaster(8, 8)
+        cached.add_disc(4.0, 4.0, 2.0, np.ones((8, 8)))
+        post = PosteriorState(small_filtered, small_spec, coverage=cached)
+        assert post.coverage is cached
+        assert cached.counts.shape == (small_filtered.height, small_filtered.width)
+        assert cached.counts.sum() == 0
+        post.insert_circle(30.0, 30.0, 6.0)
+        post.verify_consistency()
+
+    def test_local_phase_worker_reuses_thread_raster(
+        self, small_filtered, small_spec, move_config
+    ):
+        from repro.core.partition_runner import _acquire_worker_raster, _worker_state
+
+        if hasattr(_worker_state, "raster"):
+            del _worker_state.raster
+        first = _acquire_worker_raster(32, 32)
+        second = _acquire_worker_raster(48, 16)
+        assert first is second
+
+
+# -- counts-only debug cross-check (satellite: debug_checks fixtures) --------
+
+class TestCountsOnlyDebugChecks:
+    def test_rebuild_from_runs_window_cross_check(self):
+        """With debug_checks on, every counts-only rasterisation is
+        re-derived through the legacy window path and compared."""
+        cov = CoverageRaster(24, 24, debug_checks=True)
+        cov.rebuild_from([6.0, 15.0, 11.0], [7.0, 14.0, 9.0], [3.0, 4.0, 2.5])
+        reference = CoverageRaster(24, 24)
+        reference.rebuild_from([6.0, 15.0, 11.0], [7.0, 14.0, 9.0], [3.0, 4.0, 2.5])
+        assert np.array_equal(cov.counts, reference.counts)
+
+    def test_rebuild_cross_check_covers_degenerate_discs(self):
+        cov = CoverageRaster(24, 24, debug_checks=True)
+        # Off-grid and sub-pixel discs exercise the None-window cases.
+        cov.rebuild_from([-40.0, 6.2], [-40.0, 6.8], [2.0, 0.01])
+        assert cov.counts.sum() >= 0
+
+    def test_verify_consistency_uses_debug_rebuild(
+        self, small_filtered, small_spec
+    ):
+        post = PosteriorState(small_filtered, small_spec)
+        post.insert_circle(30.0, 30.0, 6.0)
+        post.insert_circle(33.0, 31.0, 4.0)
+        post.verify_consistency()  # turns debug_checks on for the rebuild

@@ -200,7 +200,7 @@ class TestCoverageRemovalCache:
         assert len(cov._removals) == 2
 
     @pytest.mark.parametrize("mutate", [
-        "commit_pending", "commit_batch_group", "add_disc", "remove_disc",
+        "commit_pending", "add_disc", "remove_disc",
         "add_disc_counts_only", "rebuild_from", "reset",
     ])
     def test_every_counts_mutator_invalidates(self, mutate):
@@ -217,10 +217,6 @@ class TestCoverageRemovalCache:
         if mutate == "commit_pending":
             cov.trial_add_disc(*c, weights)
             cov.commit_pending()
-        elif mutate == "commit_batch_group":
-            cov.trial_price_batch([[(-1, *b)]], weights)
-            cov.commit_batch_group(0)
-            cov.discard_batch()
         elif mutate == "add_disc":
             cov.add_disc(*c, weights)
         elif mutate == "remove_disc":
@@ -331,7 +327,7 @@ def test_served_energies_are_exact_in_a_crowded_scene(crowded, monkeypatch):
 
 @pytest.mark.parametrize("mutate", [
     "insert_circle", "delete_circle", "move_circle", "resize_circle",
-    "load_circles", "commit_trial", "commit_deferred",
+    "load_circles", "commit_trial",
 ])
 def test_every_configuration_mutator_clears_energies(small_filtered, small_spec, mutate):
     """Cache A's removal energy, change its neighbourhood through one
@@ -344,7 +340,6 @@ def test_every_configuration_mutator_clears_energies(small_filtered, small_spec,
     death.price(post)
     death.rollback(post)
     before = post._removal_energy[(30.0, 30.0, 6.0)]
-    move_b = TranslateMove(b, 38.0, 34.0)
     if mutate == "insert_circle":
         post.insert_circle(33.0, 26.0, 4.0)
     elif mutate == "delete_circle":
@@ -355,18 +350,10 @@ def test_every_configuration_mutator_clears_energies(small_filtered, small_spec,
         post.resize_circle(b, 6.5)
     elif mutate == "load_circles":
         post.load_circles([Circle(33.0, 26.0, 4.0)])
-    elif mutate == "commit_trial":
+    else:
+        move_b = TranslateMove(b, 38.0, 34.0)
         move_b.price(post)
         move_b.commit(post)
-    else:
-        post.begin_deferred_move()
-        move_b.price(post)
-        program = post.end_deferred_move()
-        move_b.rollback(post)
-        [(prim_deltas, _)] = post.price_deferred_batch([program])
-        move_b.reapply(post)
-        post.commit_deferred(0, prim_deltas)
-        post.discard_deferred_batch()
     fresh = post.overlap_prior.circle_energy(post.config, 30.0, 30.0, 6.0, exclude=(a,))
     assert post._overlap_energy(30.0, 30.0, 6.0, (a,), True) == fresh
     assert fresh != before  # the mutation did change A's energy

@@ -125,3 +125,67 @@ class TestSpeculativeChain:
         post = PosteriorState(img, spec)
         with pytest.raises(ConfigurationError):
             SpeculativeChain(post, MoveGenerator(spec, MoveConfig()), width=0)
+
+
+# -- the one round is the classic chain ----------------------------------------
+
+PARITY_ITERATIONS = 8_000
+
+
+@pytest.fixture(scope="module")
+def workload():
+    from repro.bench.workloads import synthetic_workload
+
+    return synthetic_workload(size=128, n_circles=10, seed=3)
+
+
+def _final_state(workload, make_chain):
+    """Run a fresh chain on *workload*; return what a chain leaves behind."""
+    post = PosteriorState(workload.filtered, workload.model)
+    chain = make_chain(post, MoveGenerator(workload.model, workload.moves))
+    chain.run(PARITY_ITERATIONS)
+    return (
+        sorted((c.x, c.y, c.r) for c in post.snapshot_circles()),
+        post.log_posterior,
+        post.coverage.counts.copy(),
+        dict(chain.stats.proposed),
+        dict(chain.stats.accepted),
+    )
+
+
+@pytest.fixture(scope="module")
+def classic_finals(workload):
+    return {
+        seed: _final_state(
+            workload, lambda post, gen: MarkovChain(post, gen, seed=seed))
+        for seed in (5, 99)
+    }
+
+
+@pytest.mark.parametrize("seed", [5, 99])
+@pytest.mark.parametrize("width", [1, 4, 8])
+def test_round_leaves_the_classic_chain_state(workload, classic_finals, seed, width):
+    """A rejected step leaves the state unchanged, so a round's later
+    proposals are drawn exactly where the classic chain draws them:
+    every width ends in the classic chain's state, bit for bit."""
+    circles, log_post, counts, proposed, accepted = _final_state(
+        workload,
+        lambda post, gen: SpeculativeChain(post, gen, width=width, seed=seed))
+    ref_circles, ref_log_post, ref_counts, ref_proposed, ref_accepted = (
+        classic_finals[seed])
+    assert circles == ref_circles
+    assert log_post == ref_log_post
+    assert np.array_equal(counts, ref_counts)
+    assert proposed == ref_proposed
+    assert accepted == ref_accepted
+
+
+def test_benchmark_name_runs_the_round(workload):
+    """The benchmark harness's exact call for its K=8 kernel reading."""
+    import repro.mcmc
+
+    post = PosteriorState(workload.filtered, workload.model)
+    gen = MoveGenerator(workload.model, workload.moves)
+    result = repro.mcmc.MultiproposalChain(post, gen, width=8, seed=7).run(200)
+    assert result.iterations == 200
+    post.verify_consistency()

@@ -154,3 +154,46 @@ class TestInvariantsUnderRandomOps:
         assert cfg.n == len(shadow)
         for i, c in shadow.items():
             assert cfg.circle_at(i) == c
+
+
+# -- SoA round-trip invariants ------------------------------------------------
+
+class TestSoARoundTrip:
+    def test_to_from_arrays_round_trip(self):
+        cfg = CircleConfiguration()
+        for x, y, r in [(5.0, 6.0, 2.0), (15.0, 4.0, 3.5), (9.0, 12.0, 1.25)]:
+            cfg.add(x, y, r)
+        cfg.remove(1)
+        xs, ys, rs = cfg.to_arrays()
+        clone = CircleConfiguration.from_arrays(xs, ys, rs)
+        assert clone.n == cfg.n
+        assert clone.circles() == cfg.circles()
+        clone.check_invariants()
+
+    def test_copy_preserves_geometry_and_indices(self):
+        cfg = CircleConfiguration()
+        for x, y, r in [(5.0, 6.0, 2.0), (15.0, 4.0, 3.5), (9.0, 12.0, 1.25)]:
+            cfg.add(x, y, r)
+        clone = cfg.copy()
+        assert clone.circles() == cfg.circles()
+        clone.add(1.0, 1.0, 1.0)
+        assert clone.n == cfg.n + 1  # independent storage
+        cfg.check_invariants()
+        clone.check_invariants()
+
+    def test_from_arrays_rejects_ragged_input(self):
+        with pytest.raises(ChainError):
+            CircleConfiguration.from_arrays([1.0, 2.0], [1.0], [1.0, 1.0])
+
+    def test_free_list_reuse_is_lifo(self):
+        """Rollback parity depends on remove+add restoring the exact
+        slot — the free list must be LIFO."""
+        cfg = CircleConfiguration()
+        a = cfg.add(5.0, 5.0, 2.0)
+        b = cfg.add(9.0, 9.0, 2.0)
+        cfg.remove(a)
+        assert cfg.add(6.0, 6.0, 2.0) == a
+        cfg.remove(b)
+        cfg.remove(a)
+        assert cfg.add(7.0, 7.0, 2.0) == a
+        assert cfg.add(8.0, 8.0, 2.0) == b

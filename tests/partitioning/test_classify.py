@@ -89,7 +89,7 @@ class TestClassification:
 
 class TestSafetyTheorem:
     def test_modifiable_interaction_region_inside_partition(self, spec, mc):
-        """The DESIGN.md §5 safety argument, checked numerically: a
+        """The local-reach safety argument, checked numerically: a
         modifiable feature's worst-case influence region stays inside
         its partition."""
         cfg = CircleConfiguration()
