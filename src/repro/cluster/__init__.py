@@ -23,12 +23,6 @@ The pieces:
   minimal-churn key → node placement (cache affinity);
 * :mod:`~repro.cluster.pool` — backend membership + health probes +
   demand-driven down-marking;
-* :mod:`~repro.cluster.joblog` — the durable JSON-lines WAL (replay +
-  compaction) both the router and individual backends persist pending
-  jobs through;
-* :mod:`~repro.cluster.resultindex` — the durable index of *terminal*
-  job ids (state + result digest), so finished jobs keep answering
-  status across router restarts;
 * :mod:`~repro.cluster.quota` — per-client token buckets rejecting with
   the retry-after backpressure shape;
 * :mod:`~repro.cluster.router` — the shard router itself, a
@@ -38,6 +32,11 @@ The pieces:
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`, the in-process /
   subprocess harness the tests, smoke gate, and benchmarks drive.
 
+The router's durable state — the job WAL it replays pending jobs from
+and the index that keeps finished job ids answering status across
+restarts — is :mod:`repro.service.store`, the same ``JobLog`` each
+backend persists its pending jobs through.
+
 Correctness contract (gated by ``scripts/cluster_smoke.py`` in CI): a
 clustered detection is bit-identical to a direct ``engine.run()`` of
 the same request — the cluster, like the service, is a transport, never
@@ -45,11 +44,9 @@ a source of numerical drift.
 """
 
 from repro.cluster.hashing import node_score, rendezvous_choose, rendezvous_ranking
-from repro.cluster.joblog import JobLog, JobLogReplay, PendingJob
 from repro.cluster.local import LocalCluster
 from repro.cluster.pool import BackendNode, BackendPool
 from repro.cluster.quota import QuotaPolicy, TokenBucket
-from repro.cluster.resultindex import IndexedResult, ResultIndex
 from repro.cluster.router import (
     RouterHandle,
     RouterJob,
@@ -63,16 +60,11 @@ __all__ = [
     "node_score",
     "rendezvous_choose",
     "rendezvous_ranking",
-    "JobLog",
-    "JobLogReplay",
-    "PendingJob",
     "LocalCluster",
     "BackendNode",
     "BackendPool",
     "QuotaPolicy",
     "TokenBucket",
-    "IndexedResult",
-    "ResultIndex",
     "RouterHandle",
     "RouterJob",
     "ShardRouter",

@@ -17,7 +17,7 @@ backend modes, one API:
     crashed host looks like (``scripts/chaos.py --mode process``).
 
 Either way the router runs in-process (it is IO-bound), with a durable
-:class:`~repro.cluster.joblog.JobLog` by default so
+:class:`~repro.service.store.JobLog` by default so
 :meth:`LocalCluster.restart_router` exercises the replay path on the
 same port with the same log.
 """
@@ -36,13 +36,13 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.joblog import JobLog
 from repro.cluster.quota import QuotaPolicy
 from repro.cluster.router import RouterHandle, router_background
 from repro.engine.cache import ResultCache
 from repro.errors import ClusterError
 from repro.service.client import ServiceClient
 from repro.service.server import serve_background
+from repro.service.store import JobLog
 
 __all__ = ["LocalCluster"]
 

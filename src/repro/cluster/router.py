@@ -18,7 +18,7 @@ a router from a single service.  What it adds:
   job to the next node in the key's rendezvous order and keeps the
   client's stream open — the client sees a longer job, not an error;
 * **durability**: every routed job is recorded in a
-  :class:`~repro.cluster.joblog.JobLog` (submit → assign → complete), so
+  :class:`~repro.service.store.JobLog` (submit → assign → complete), so
   a restarted router re-registers pending jobs under their original ids
   and re-dispatches them on demand.  Completion is at-most-once in
   effect: a job that finished just before an unlogged crash replays into
@@ -33,7 +33,7 @@ a router from a single service.  What it adds:
   instead of re-dispatching from scratch.  Duplicate completions
   collapse in the backends' content-addressed caches;
 * **a durable result index**: terminal job ids (state + result digest)
-  persist in a :class:`~repro.cluster.resultindex.ResultIndex` beside
+  persist in a :class:`~repro.service.store.ResultIndex` beside
   the WAL, so ``op:status`` keeps answering for *finished* jobs across
   router restarts — the WAL alone only resurrects pending ones.
 
@@ -63,10 +63,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.hashing import rendezvous_choose, rendezvous_ranking
-from repro.cluster.joblog import JobLog
 from repro.cluster.pool import BackendDown, BackendNode, BackendPool
 from repro.cluster.quota import QuotaPolicy
-from repro.cluster.resultindex import ResultIndex
 from repro.engine.schema import request_key
 from repro.errors import (
     ClusterError,
@@ -99,6 +97,7 @@ from repro.service.protocol import (
     request_from_wire,
     submit_fields,
 )
+from repro.service.store import JobLog, ResultIndex
 
 __all__ = [
     "RouterJob",

@@ -33,7 +33,10 @@ The pieces:
   :class:`~repro.engine.cache.ResultCache` consult-before-dispatch /
   publish-after-merge;
 * :mod:`~repro.service.client` — the blocking stdlib client the CLI,
-  tests, and benchmarks use.
+  tests, and benchmarks use;
+* :mod:`~repro.service.store` — the durable JSON-lines stores: the job
+  WAL every job server replays pending jobs from, and the router's
+  index of terminal job ids.
 
 Determinism carries through: a job's streamed fragments and merged
 result are bit-identical to a direct :func:`repro.engine.run` of the
@@ -59,6 +62,14 @@ from repro.service.server import (
     serve_background,
     serve_forever,
 )
+from repro.service.store import (
+    IndexedResult,
+    JobLog,
+    JobLogReplay,
+    JsonlSegment,
+    PendingJob,
+    ResultIndex,
+)
 
 __all__ = [
     "DetectionService",
@@ -74,6 +85,12 @@ __all__ = [
     "JobState",
     "TERMINAL_STATES",
     "JobQueue",
+    "IndexedResult",
+    "JobLog",
+    "JobLogReplay",
+    "JsonlSegment",
+    "PendingJob",
+    "ResultIndex",
     "scene_job",
     "pgm_job",
     "pixels_job",

@@ -41,6 +41,7 @@ from repro.service.protocol import (
     encode_line,
     error_reply,
 )
+from repro.service.store import JobLog
 
 __all__ = [
     "JobServer",
@@ -83,12 +84,8 @@ class JobServer:
         self.node_id = node_id
         self.job_retention = max(1, job_retention)
         if isinstance(job_log, (str, os.PathLike)):
-            # Lazy import: repro.cluster imports repro.service at module
-            # scope; this direction must resolve at call time only.
-            from repro.cluster.joblog import JobLog
-
             job_log = JobLog(job_log)
-        #: Optional durable :class:`~repro.cluster.joblog.JobLog` that
+        #: Optional durable :class:`~repro.service.store.JobLog` that
         #: lets a restarted server re-admit its pending jobs under
         #: their original ids.
         self.job_log = job_log

@@ -19,6 +19,8 @@ Cache integration: submissions are content-addressed
 optional :class:`~repro.engine.cache.ResultCache` *before* queueing — a
 hit completes the job instantly without occupying a queue slot or a
 worker; misses publish their merged result back into the cache.
+Durability: an optional :class:`~repro.service.store.JobLog` records
+every queued job, so a restart re-admits the pending ones.
 
 Threading: the event loop owns all job/queue state.  Engine work runs on
 a thread pool sized to ``workers``; the only loop-state touches from
@@ -114,11 +116,9 @@ class DetectionService(JobServer):
         ``process``/``auto``) forced onto every dispatched request —
         the service owns parallelism policy, not its clients.
     job_log:
-        Optional durable job log (a :class:`~repro.cluster.joblog.JobLog`
-        or a path): every queued submission is recorded and every
-        terminal transition completes it, so a restarted service with
-        the same log re-admits the jobs that were pending — under their
-        original job ids, so clients' handles survive the restart.
+        Optional :class:`~repro.service.store.JobLog` (or a path): a
+        restarted service with the same log re-admits the jobs that were
+        pending under their original job ids.
     quota:
         Optional per-client :class:`~repro.cluster.quota.QuotaPolicy`;
         over-limit submits are rejected with the retry-after shape.

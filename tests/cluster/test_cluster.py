@@ -163,7 +163,7 @@ class TestFailover:
                     client.submit(job_spec(seed=1), max_attempts=1)
             # The rejected submit must not linger in the WAL: a restart
             # would otherwise run a job the client was told failed.
-            from repro.cluster import JobLog
+            from repro.service.store import JobLog
 
             assert JobLog(cluster.router_log_path).replay().n_pending == 0
 

@@ -83,9 +83,11 @@ class TestApplyUnapply:
         assert post.log_posterior == lp_before  # bit-exact restore
         post.verify_consistency()
 
-    def test_reapply_after_rollback(self, post, gen):
-        """A move evaluated (apply+unapply) must re-apply cleanly — the
-        speculative executor's exact usage pattern."""
+    def test_split_apply_unapply_apply(self, post, gen):
+        """A split evaluated (apply+unapply) must apply again cleanly — the
+        usage of ``SpeculativeChain.round``'s legacy reference branch,
+        which prices each proposal with ``evaluate_move`` and then calls
+        ``winner.apply``."""
         idx, _ = post.insert_circle(30, 30, 5)
         move = SplitMove(idx, post.config.circle_at(idx), 0.5, 3.0, 0.4, gen.ctx)
         move.apply(post)

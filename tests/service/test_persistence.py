@@ -7,10 +7,11 @@ import time
 import pytest
 
 from repro.bench.workloads import synthetic_workload
-from repro.cluster import JobLog, QuotaPolicy
+from repro.cluster import QuotaPolicy
 from repro.engine import run
 from repro.errors import QuotaExceededError, ServiceUnavailableError
 from repro.service import ServiceClient, scene_job, serve_background
+from repro.service.store import JobLog
 
 SIZE = 64
 CIRCLES = 4

@@ -1,0 +1,400 @@
+"""The durable JSON-lines stores: one segment, two schemas.
+
+The segment's behaviour — torn tails, corrupt lines, compaction splice
+and thread, fsync — is checked once per schema; each schema's own
+verbs, fold and load follow.
+"""
+
+import json
+import os
+import threading
+import time
+
+import pytest
+
+from repro.errors import ClusterError
+from repro.service.store import TERMINAL_STATES, JobLog, ResultIndex
+
+pytestmark = pytest.mark.fast
+
+SPEC = {"scene": {"size": 32, "circles": 2, "seed": 0}, "strategy": "naive",
+        "iterations": 50, "seed": 0}
+
+
+class JobLogSchema:
+    cls = JobLog
+    name = "jobs.wal"
+
+    @staticmethod
+    def add(store, job_id):
+        store.log_submit(job_id, SPEC, key=f"k-{job_id}")
+
+    @staticmethod
+    def retire(store, job_id):
+        store.log_complete(job_id, "done")
+
+    @staticmethod
+    def ids(store):
+        return list(store.replay().pending)
+
+
+class ResultIndexSchema:
+    cls = ResultIndex
+    name = "router.idx"
+
+    @staticmethod
+    def add(store, job_id):
+        store.record(job_id, "done", key=f"k-{job_id}")
+
+    @staticmethod
+    def retire(store, job_id):
+        store.record(job_id, "cancelled")
+
+    @staticmethod
+    def ids(store):
+        return list(store.load())
+
+
+@pytest.fixture(params=[JobLogSchema, ResultIndexSchema],
+                ids=["JobLog", "ResultIndex"])
+def schema(request):
+    return request.param
+
+
+@pytest.fixture
+def store(schema, tmp_path):
+    return schema.cls(tmp_path / schema.name)
+
+
+def _wait_for_compaction(store, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and store.n_compactions == 0:
+        time.sleep(0.01)
+    assert store.n_compactions >= 1
+
+
+def _torn(store):
+    """The first half of the store's last line: a crash mid-write."""
+    last = store.path.read_bytes().splitlines()[-1]
+    return last[: len(last) // 2]
+
+
+class TestSegment:
+    def test_missing_file_reads_empty(self, schema, store):
+        assert schema.ids(store) == []
+        assert store.n_corrupt == 0
+
+    def test_torn_final_line_is_skipped(self, schema, store):
+        schema.add(store, "a")
+        schema.add(store, "b")
+        torn = _torn(store)
+        store.close()
+        with open(store.path, "ab") as fh:
+            fh.write(torn)
+        reborn = schema.cls(store.path)
+        assert schema.ids(reborn) == ["a", "b"]
+        assert reborn.n_corrupt == 1
+
+    def test_next_append_seals_the_torn_tail(self, schema, store):
+        schema.add(store, "a")
+        torn = _torn(store)
+        store.close()
+        with open(store.path, "ab") as fh:
+            fh.write(torn)
+        reborn = schema.cls(store.path)
+        schema.add(reborn, "c")  # must not merge with the torn bytes
+        assert schema.ids(reborn) == ["a", "c"]
+        assert reborn.n_corrupt == 1
+        lines = store.path.read_bytes().splitlines()
+        assert json.loads(lines[-1])["job_id"] == "c"
+
+    def test_garbage_and_invalid_utf8_are_counted_not_loaded(self, schema, store):
+        schema.add(store, "a")
+        store.close()
+        with open(store.path, "ab") as fh:
+            fh.write(b"not json at all\n")
+            fh.write(b"[1, 2]\n")  # JSON, but not an object
+            fh.write(json.dumps({"no": "type"}).encode() + b"\n")
+            fh.write(b'{"job_id": 42, "state": "done"}\n')  # non-string id
+            fh.write(b'{"job_id": "x", "state": "running"}\n')  # non-terminal
+            # A well-formed record whose id holds an invalid UTF-8 byte.
+            fh.write(b'{"type": "submit", "job_id": "b\xff", "spec": {},'
+                     b' "state": "done"}\n')
+        schema.add(store, "c")  # appends still work
+        assert schema.ids(store) == ["a", "c"]
+        assert store.n_corrupt == 6
+
+    def test_appends_during_compaction_are_spliced_in(self, schema, store):
+        for job_id in ("a", "b"):
+            schema.add(store, job_id)
+        fold = store._fold
+
+        def fold_then_append(*args):
+            folded = fold(*args)
+            # Past the snapshot, before the swap.
+            schema.add(store, "late")
+            return folded
+
+        store._fold = fold_then_append
+        store.compact()
+        del store._fold
+        assert store.n_compactions == 1
+        assert schema.ids(store) == ["a", "b", "late"]
+        assert schema.ids(schema.cls(store.path)) == ["a", "b", "late"]
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_fsync_on_append_and_compaction(self, schema, tmp_path,
+                                            monkeypatch, fsync):
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        store = schema.cls(tmp_path / schema.name, fsync=fsync)
+        schema.add(store, "a")
+        schema.add(store, "b")
+        assert len(calls) == (2 if fsync else 0)
+        store.compact()
+        assert store.n_compactions == 1
+        assert len(calls) == (3 if fsync else 0)
+
+    def test_auto_compaction_never_runs_on_the_callers_thread(self, schema, store):
+        store.COMPACT_EVERY = 4
+        rewriters = []
+        write = store._write
+
+        def recording_write(*args):
+            rewriters.append(threading.get_ident())
+            write(*args)
+
+        store._write = recording_write
+        for i in range(4):
+            schema.add(store, f"j{i}")
+            schema.retire(store, f"j{i}")
+        _wait_for_compaction(store)
+        store.close()  # waits for the compactor
+        assert rewriters
+        assert threading.get_ident() not in rewriters
+
+    def test_close_waits_for_the_compactor(self, schema, store):
+        store.COMPACT_EVERY = 2
+        for i in range(2):
+            schema.add(store, f"j{i}")
+            schema.retire(store, f"j{i}")
+        store.close()
+        assert store._compactor is not None
+        assert not store._compactor.is_alive()
+
+
+class TestParentFormat:
+    """Files written before the two stores shared one segment."""
+
+    def test_wal_replays_to_the_same_pending_set(self, tmp_path):
+        path = tmp_path / "jobs.wal"
+        path.write_text(
+            '{"type":"submit","job_id":"a","spec":{"scene":{"size":32}},'
+            '"key":"k1","client":"alice","priority":2,"t":1700000000.5}\n'
+            '{"type":"assign","job_id":"a","node":"n1:1",'
+            '"backend_job_id":"b1","t":1700000001.0}\n'
+            '{"type":"submit","job_id":"b","spec":{"strategy":"naive"},'
+            '"key":"k2","client":null,"priority":0,"t":1700000002.0}\n'
+            '{"type":"complete","job_id":"b","state":"done","t":1700000003.0}\n'
+            '{"type":"submit","job_id":"c","spec":{},"key":null,'
+            '"client":null,"priority":0,"t":1700000004.0}\n'
+        )
+        replay = JobLog(path).replay()
+        assert list(replay.pending) == ["a", "c"]
+        a = replay.pending["a"]
+        assert a.spec == {"scene": {"size": 32}}
+        assert (a.key, a.client, a.priority) == ("k1", "alice", 2)
+        assert a.submitted_at == 1700000000.5
+        assert (a.node, a.backend_job_id, a.n_assigns) == ("n1:1", "b1", 1)
+        assert (replay.n_records, replay.n_submitted, replay.n_completed) == (5, 3, 1)
+
+    def test_index_loads_to_the_same_entries(self, tmp_path):
+        path = tmp_path / "router.idx"
+        path.write_text(
+            '{"job_id":"a","state":"done","key":"k1","digest":"d1",'
+            '"error":null,"t":1700000000.5}\n'
+            '{"job_id":"b","state":"failed","key":"k2","digest":null,'
+            '"error":null,"t":1700000001.0}\n'
+            '{"job_id":"a","state":"cancelled","key":"k1","digest":null,'
+            '"error":null,"t":1700000002.0}\n'
+        )
+        entries = ResultIndex(path).load()
+        assert list(entries) == ["b", "a"]
+        assert (entries["a"].state, entries["a"].key, entries["a"].digest) == (
+            "cancelled", "k1", None)
+        assert entries["a"].finished_at == 1700000002.0
+        assert (entries["b"].state, entries["b"].key) == ("failed", "k2")
+
+
+# -- the job log ---------------------------------------------------------------
+
+@pytest.fixture
+def log(tmp_path):
+    return JobLog(tmp_path / "jobs.wal")
+
+
+class TestJobLogVerbsAndReplay:
+    def test_pending_is_submit_without_complete(self, log):
+        log.log_submit("a", SPEC, key="k1", client="alice", priority=2)
+        log.log_submit("b", SPEC, key="k2")
+        log.log_complete("a", "done")
+        replay = log.replay()
+        assert set(replay.pending) == {"b"}
+        assert replay.n_submitted == 2
+        assert replay.n_completed == 1
+        job = replay.pending["b"]
+        assert job.spec == SPEC and job.key == "k2" and job.priority == 0
+
+    def test_submit_order_preserved(self, log):
+        for i in range(5):
+            log.log_submit(f"j{i}", SPEC, key=f"k{i}")
+        log.log_complete("j2", "cancelled")
+        assert list(log.replay().pending) == ["j0", "j1", "j3", "j4"]
+
+    def test_assign_tracks_latest_placement(self, log):
+        log.log_submit("a", SPEC, key="k")
+        log.log_assign("a", node="n1:1", backend_job_id="b1")
+        log.log_assign("a", node="n2:2", backend_job_id="b2")
+        job = log.replay().pending["a"]
+        assert job.node == "n2:2"
+        assert job.backend_job_id == "b2"
+        assert job.n_assigns == 2
+
+    def test_metadata_survives_roundtrip(self, log):
+        log.log_submit("a", SPEC, key="k", client="c", priority=7)
+        job = log.replay().pending["a"]
+        assert (job.client, job.priority) == ("c", 7)
+        assert job.submitted_at > 0
+
+    def test_unknown_record_types_rejected(self, log):
+        with pytest.raises(ClusterError):
+            log.append({"type": "noop", "job_id": "a"})
+        with pytest.raises(ClusterError):
+            log.log_complete("a", "finished")
+
+    def test_empty_or_missing_file_replays_empty(self, log):
+        replay = log.replay()
+        assert replay.n_pending == 0 and replay.n_records == 0
+
+
+class TestJobLogCompaction:
+    def test_compact_keeps_only_pending(self, log):
+        for i in range(10):
+            log.log_submit(f"j{i}", SPEC, key=f"k{i}")
+            log.log_assign(f"j{i}", node="n:1", backend_job_id=f"b{i}")
+        for i in range(8):
+            log.log_complete(f"j{i}", "done")
+        dropped = log.compact()
+        assert dropped == 24  # 8 * (submit + assign + complete)
+        replay = log.replay()
+        assert set(replay.pending) == {"j8", "j9"}
+        assert replay.pending["j8"].node == "n:1"
+        # The rewritten file holds exactly the pending records.
+        assert replay.n_records == 4
+
+    def test_pending_jobs_survive_repeated_compaction(self, log):
+        log.log_submit("keep", SPEC, key="k")
+        log.compact()
+        log.compact()
+        assert set(log.replay().pending) == {"keep"}
+
+    def test_auto_compaction_fires_on_cadence(self, log):
+        log.COMPACT_EVERY = 10
+        for i in range(10):
+            log.log_submit(f"j{i}", SPEC, key=f"k{i}")
+            log.log_complete(f"j{i}", "done")
+        # Auto-compaction runs on a background thread (append must not
+        # stall the caller's event loop); give it a moment.
+        _wait_for_compaction(log)
+        # Completed pairs appended *after* the background snapshot wait
+        # for the next cycle; what must hold now is that nothing
+        # replayable survived, and a quiescent compact drains the rest.
+        assert log.replay().n_pending == 0
+        log.compact()
+        assert log.replay().n_records == 0
+
+    def test_worthwhile_guard_skips_live_logs(self, log):
+        for i in range(5):
+            log.log_submit(f"j{i}", SPEC, key=f"k{i}")
+        assert log.compact(only_if_worthwhile=True) == 0
+        assert log.replay().n_pending == 5
+
+
+# -- the result index ----------------------------------------------------------
+
+@pytest.fixture
+def index(tmp_path):
+    return ResultIndex(tmp_path / "router.idx")
+
+
+class TestResultIndexRecordAndLoad:
+    def test_roundtrip_preserves_every_field(self, index):
+        index.record("a", "done", key="k1", digest="d1")
+        index.record("b", "failed", key="k2")
+        entries = index.load()
+        assert list(entries) == ["a", "b"]
+        assert entries["a"].state == "done"
+        assert entries["a"].key == "k1"
+        assert entries["a"].digest == "d1"
+        assert entries["b"].state == "failed"
+        assert entries["b"].finished_at > 0
+
+    def test_last_record_wins_and_moves_to_newest_end(self, index):
+        index.record("a", "done")
+        index.record("b", "done")
+        index.record("a", "cancelled")  # re-touch: newest end, new state
+        entries = index.load()
+        assert list(entries) == ["b", "a"]
+        assert entries["a"].state == "cancelled"
+
+    def test_only_terminal_states_accepted(self, index):
+        for state in TERMINAL_STATES:
+            index.record(f"job-{state}", state)
+        with pytest.raises(ClusterError):
+            index.record("x", "running")
+        with pytest.raises(ClusterError):
+            index.record("", "done")
+
+
+class TestResultIndexCompaction:
+    def test_appends_trigger_automatic_compaction(self, index):
+        index.COMPACT_EVERY = 3
+        for i in range(7):
+            index.record(f"job-{i}", "done")
+        # Compaction runs on a background thread: record() must not
+        # stall the router's event loop.
+        _wait_for_compaction(index)
+        index.close()  # waits for the compactor
+        assert "job-6" in index.load()  # newest always survives
+        # A compaction keeps the newest COMPACT_EVERY entries of its
+        # snapshot; what was appended after the snapshot is spliced on.
+        index.compact()
+        assert list(index.load()) == ["job-4", "job-5", "job-6"]
+
+    def test_explicit_compact_keeps_newest_and_reports_dropped(self, index):
+        index.COMPACT_EVERY = 0  # no auto
+        for i in range(5):
+            index.record(f"job-{i}", "done")
+        index.COMPACT_EVERY = 2
+        dropped = index.compact()
+        assert dropped == 3
+        assert list(index.load()) == ["job-3", "job-4"]
+        index.record("job-5", "done")  # file still appendable after replace
+        assert "job-5" in index.load()
+
+    def test_retouched_ids_survive_compaction(self, index):
+        index.COMPACT_EVERY = 0
+        index.record("old", "done")
+        for i in range(3):
+            index.record(f"job-{i}", "done")
+        index.record("old", "done")  # re-touch: back to the newest end
+        index.COMPACT_EVERY = 2
+        index.compact()
+        assert "old" in index.load()
+
+    def test_zero_compact_every_disables_compaction(self, index):
+        index.COMPACT_EVERY = 0
+        for i in range(50):
+            index.record(f"job-{i}", "done")
+        assert index.n_compactions == 0
+        assert len(index.load()) == 50

@@ -47,7 +47,6 @@ LEVEL = {name: i for i, names in enumerate(LAYERS) for name in names}
 
 #: (importing module, imported module) for each upward edge not yet removed.
 ALLOWED_UPWARD = {
-    ("repro.service.jobserver", "repro.cluster.joblog"),
     ("repro.cluster.local", "repro.gateway.server"),
     ("repro.cluster.local", "repro.gateway.client"),
 }
