@@ -35,7 +35,14 @@ a router from a single service.  What it adds:
 * **a durable result index**: terminal job ids (state + result digest)
   persist in a :class:`~repro.service.store.ResultIndex` beside
   the WAL, so ``op:status`` keeps answering for *finished* jobs across
-  router restarts — the WAL alone only resurrects pending ones.
+  router restarts — the WAL alone only resurrects pending ones;
+* **results, not requests, in retention**: a terminal job drops its
+  submit spec (the WAL already holds it, and a finished job is never
+  re-dispatched or mirrored), so the registry's ``job_retention``
+  bound is a bound on bytes too — not on 4,096 inline images.  A job
+  its owner answered *born done* from cache keeps the one terminal
+  event the submit reply carried, and a stream of it is answered here,
+  with no second backend round trip.
 
 Job ids: the router mints its own (``cjob-…``) and maps them to the
 backend-local ids, which is what makes restart/failover transparent —
@@ -108,7 +115,9 @@ __all__ = [
     "serve_cluster_forever",
 ]
 
-#: Terminal router jobs retained for status/stream routing.
+#: Terminal router jobs retained for status/stream routing.  A retained
+#: job holds ids, placement and, when its owner answered it from cache,
+#: that one terminal event (a few KB) — never its spec's pixels.
 DEFAULT_JOB_RETENTION = 4096
 
 #: Wire event name → job-log completion state.
@@ -141,7 +150,7 @@ class RouterJob:
     """One routed job: the client-facing id plus its current placement."""
 
     rid: str
-    spec: Dict[str, Any]
+    spec: Dict[str, Any]  #: the submit spec while live; ``{}`` once terminal
     key: str
     client: Optional[str] = None
     priority: int = 0
@@ -165,8 +174,12 @@ class RouterJob:
     #: under this router's submit span in a cluster-wide scrape.
     trace_id: Optional[str] = None
     #: sha256 of the terminal wire event, once seen (also what the
-    #: result index persists).
+    #: result index persists); ``None`` for a job whose completion was
+    #: only seen in a status document.
     result_digest: Optional[str] = None
+    #: A born-done job's one terminal event, off its submit reply:
+    #: streams of the job are answered from it, without a backend.
+    terminal_event: Optional[Dict[str, Any]] = None
     submitted_at: float = field(default_factory=time.monotonic)
     lock: "asyncio.Lock" = field(default_factory=asyncio.Lock, repr=False)
 
@@ -410,6 +423,10 @@ class ShardRouter(JobServer):
         if job.terminal:
             return
         job.state = state
+        # A finished job answers from its result: the spec (which pins
+        # inline pixels) is in the WAL, and nothing re-dispatches or
+        # mirrors a terminal job.
+        job.spec = {}
         if state == "failed":
             # Tail sampling: keep the trace buffers of failed jobs on
             # the router side too, so post-mortem trace assembly still
@@ -511,6 +528,9 @@ class ShardRouter(JobServer):
                 self._note_failover()
                 continue
             if reply.get("ok"):
+                # A born-done job's history rides its submit reply; the
+                # ack this router forwards stays the backend's ack.
+                terminal = reply.pop("terminal", None)
                 job.node_id = node_id
                 job.backend_job_id = reply.get("job_id")
                 job.state = "routed"
@@ -533,7 +553,9 @@ class ShardRouter(JobServer):
                         job.rid, node=node_id, backend_job_id=job.backend_job_id
                     )
                 if reply.get("state") in ("done", "failed", "cancelled"):
-                    job.result_digest = self._digest_event(reply)
+                    if terminal is not None:
+                        job.terminal_event = terminal
+                        job.result_digest = self._digest_event(terminal)
                     self._complete(job, reply["state"])
                 elif self.replication_factor > 1:
                     self._spawn_side_task(self._mirror(job))
@@ -775,8 +797,7 @@ class ShardRouter(JobServer):
                     continue
                 return reply
             if reply.get("state") in ("done", "failed", "cancelled"):
-                if job.result_digest is None:
-                    job.result_digest = self._digest_event(reply)
+                # A status document is not the result: no digest.
                 self._complete(job, reply["state"])
             return {**reply, "job_id": job.rid, "node": node_id}
         return self._pending_doc(job)
@@ -1051,6 +1072,12 @@ class ShardRouter(JobServer):
         what never happens is a silently broken stream.  Streams pin
         their node's ``n_active_streams`` while attached, which is what
         drain-mode membership removal waits on.
+
+        A born-done job (its owner answered the submit from cache) is
+        answered here from the terminal event its submit reply carried:
+        the same ack, then that event — the history the owner would
+        replay — with no backend call, so it streams even after its
+        owner is gone.
         """
         job = self._job(rid)
         ack_sent = False
@@ -1066,6 +1093,13 @@ class ShardRouter(JobServer):
                             registry=self.obs,
                             histogram_labels={"node": self.node_id},
                             job=job.rid, node=self.node_id)
+
+        if job.terminal_event is not None:
+            yield {"ok": True, "job_id": job.rid, "state": job.state,
+                   "node": job.node_id, "trace": job.trace_id}
+            yield job.terminal_event
+            note_stream_span()
+            return
 
         exclude: Set[str] = set()
         while True:

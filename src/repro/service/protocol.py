@@ -56,7 +56,9 @@ Server → client: every reply carries ``ok``; streamed event lines carry
 ``error`` / ``cancelled``).  The terminal events are ``result``,
 ``error`` and ``cancelled``.  Detection results reuse the cache's JSON
 schema (:func:`repro.engine.cache.result_to_json`) so a streamed result
-and a cached one are byte-comparable.
+and a cached one are byte-comparable.  The submit reply of a job born
+done from cache also carries ``terminal``: its one terminal event, the
+whole history a stream of the job would replay.
 """
 
 from __future__ import annotations

@@ -375,18 +375,21 @@ class DetectionService(JobServer):
 
     def _admit_done(self, job: Job, hit) -> Dict[str, Any]:
         """A cache hit completes the job at admission: no queue slot,
-        no worker, no request."""
+        no worker, no request.  The reply carries the job's whole
+        history — its one terminal event — under ``terminal``, so a
+        caller need not stream it back."""
         self.n_cache_hits += 1
         self.n_submitted += 1
         self._count_submission("cache_hit")
         job.cached = True
         job.result = hit
         job.started_at = time.monotonic()
-        self._finish(job, JobState.DONE,
-                     {"event": "result", "cached": True,
-                      "result": result_to_json(hit)})
+        event = {"event": "result", "cached": True,
+                 "result": result_to_json(hit)}
+        self._finish(job, JobState.DONE, event)
         self._register(job.id, job)
-        return {"ok": True, "job_id": job.id, "cached": True, "state": job.state.value}
+        return {"ok": True, "job_id": job.id, "cached": True,
+                "state": job.state.value, "terminal": event}
 
     def _enqueue(self, job: Job, spec: Optional[Dict[str, Any]],
                  client: Optional[str]) -> Dict[str, Any]:

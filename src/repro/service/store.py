@@ -422,8 +422,10 @@ class ResultIndex(JsonlSegment):
     """The index of terminal jobs: last record per id wins.
 
     ``COMPACT_EVERY`` is both the cadence and the number of newest
-    entries a compaction keeps; ``0`` keeps every entry.  Every tick
-    rewrites: the worthwhile guard is the job log's alone.
+    entries a compaction keeps; ``0`` keeps every entry.  A cadence
+    tick skips the rewrite when every line read would survive it (no
+    id superseded, nothing past the keep count); :meth:`compact`
+    called directly always rewrites.
     """
 
     COMPACT_EVERY = 4096
@@ -449,11 +451,12 @@ class ResultIndex(JsonlSegment):
             "t": time.time(),
         })
 
-    def _latest(self, max_bytes: Optional[int] = None) -> "OrderedDict[str, Record]":
+    @staticmethod
+    def _latest(records: Iterable[Record]) -> "OrderedDict[str, Record]":
         """Each id's last record, oldest first.  Re-recording moves an id
         to the newest end, so compaction keeps recently-touched ids."""
         latest: "OrderedDict[str, Record]" = OrderedDict()
-        for record in self._read(max_bytes):
+        for record in records:
             latest.pop(record["job_id"], None)
             latest[record["job_id"]] = record
         return latest
@@ -468,10 +471,13 @@ class ResultIndex(JsonlSegment):
                 digest=record.get("digest"),
                 finished_at=float(record.get("t") or 0.0),
             ))
-            for job_id, record in self._latest().items()
+            for job_id, record in self._latest(self._read()).items()
         )
 
     def _fold(self, max_bytes: int, only_if_worthwhile: bool) -> Folded:
-        records = list(self._latest(max_bytes).values())
+        lines = list(self._read(max_bytes))
+        records = list(self._latest(lines).values())
         keep = records[-self.COMPACT_EVERY:] if self.COMPACT_EVERY else records
+        if only_if_worthwhile and len(keep) == len(lines):
+            return None  # every line survives: a rewrite drops nothing
         return keep, len(records) - len(keep)

@@ -55,6 +55,7 @@ def test_warm_jobs_open_no_backend_connection_and_parse_nothing():
         accepted0, misses0 = accepted(cluster), memo(router, "miss")
         fresh0, reused0 = connects(router, "fresh"), connects(router, "reused")
         gateway0 = cluster.gateway_handle.gateway.stats()["n_connections_accepted"]
+        started = time.monotonic()
         for i in range(N_WARM):
             doc = client.detect(jobs[i % N_PAYLOADS])
             assert doc["cached"]
@@ -62,7 +63,14 @@ def test_warm_jobs_open_no_backend_connection_and_parse_nothing():
         # Parent commit: one connection per stream, ≥ N_WARM.
         assert accepted(cluster) - accepted0 <= 16
         assert connects(router, "fresh") - fresh0 <= 16
-        assert connects(router, "reused") - reused0 >= 2 * N_WARM  # submit + stream
+        # One backend request per warm job: the submit, answered born
+        # done, carries the result, so the stream needs no backend.  The
+        # slack is health probes, one stats call per node per interval.
+        requests = (connects(router, "fresh") - fresh0
+                    + connects(router, "reused") - reused0)
+        probes = cluster.n_backends * (
+            (time.monotonic() - started) / cluster.probe_interval + 2)
+        assert N_WARM <= requests <= N_WARM + probes
         # Parse-thread submissions: one per distinct payload, all before.
         assert misses0 == N_PAYLOADS
         assert memo(router, "miss") == misses0

@@ -359,10 +359,15 @@ class TestResultIndexRecordAndLoad:
 class TestResultIndexCompaction:
     def test_appends_trigger_automatic_compaction(self, index):
         index.COMPACT_EVERY = 3
-        for i in range(7):
+        for i in range(3):
             index.record(f"job-{i}", "done")
-        # Compaction runs on a background thread: record() must not
-        # stall the router's event loop.
+        index._compactor.join()  # three entries, keep three: no rewrite
+        assert index.n_compactions == 0
+        for i in range(3, 7):
+            index.record(f"job-{i}", "done")
+        # The second tick's snapshot holds six or more entries, so it
+        # must drop.  Compaction runs on a background thread: record()
+        # must not stall the router's event loop.
         _wait_for_compaction(index)
         index.close()  # waits for the compactor
         assert "job-6" in index.load()  # newest always survives
@@ -370,6 +375,26 @@ class TestResultIndexCompaction:
         # snapshot; what was appended after the snapshot is spliced on.
         index.compact()
         assert list(index.load()) == ["job-4", "job-5", "job-6"]
+
+    def test_tick_that_drops_nothing_does_not_rewrite(self, index):
+        index.COMPACT_EVERY = 4
+        writes = []
+        write = index._write
+
+        def recording_write(*args):
+            writes.append(args[0])
+            write(*args)
+
+        index._write = recording_write
+        for i in range(4):
+            index.record(f"job-{i}", "done")
+        index._compactor.join()
+        assert writes == []
+        assert index.n_compactions == 0
+        # An explicit compaction still rewrites.
+        assert index.compact() == 0
+        assert writes and index.n_compactions == 1
+        assert list(index.load()) == [f"job-{i}" for i in range(4)]
 
     def test_explicit_compact_keeps_newest_and_reports_dropped(self, index):
         index.COMPACT_EVERY = 0  # no auto
