@@ -8,6 +8,8 @@ correctness contract:
 
 1. for all four strategies, a detection submitted over HTTP and
    streamed over SSE is bit-identical to a direct ``engine.run()``;
+   repeated, each is a cache hit with the bit-identical result, answered
+   by its submit reply alone — the gateway accepts no connection;
 2. every SSE data payload is byte-identical to the JSON line the TCP
    ``op: stream`` sends for the same job;
 3. a backend killed mid-SSE-stream triggers failover and the stream
@@ -91,14 +93,27 @@ def main() -> int:
               f"{len(cluster.backends)} backends")
 
         # 1. four-strategy bit-parity through HTTP submit + SSE stream
+        def section_one_job(strategy):
+            return scene_job(size=SIZE, circles=CIRCLES, strategy=strategy,
+                             iterations=ITERATIONS, seed=1)
+
+        cold = {}
         for strategy in STRATEGIES:
-            out = gw.detect(scene_job(
-                size=SIZE, circles=CIRCLES, strategy=strategy,
-                iterations=ITERATIONS, seed=1,
-            ))
+            out = cold[strategy] = gw.detect(section_one_job(strategy))
             check(out.get("event") == "result" and
                   http_circles(out) == reference_circles(strategy, seed=1),
                   f"{strategy}: HTTP/SSE result bit-identical to engine.run()")
+
+        # ... and warm: the same detects are cache hits whose submit
+        # replies carry the result, so no SSE connection is opened.
+        accepted = gw.cluster()["gateway"]["n_connections_accepted"]
+        for strategy in STRATEGIES:
+            out = gw.detect(section_one_job(strategy))
+            check(out.get("cached") is True and
+                  out.get("result") == cold[strategy]["result"],
+                  f"{strategy}: warm repeat is a cache hit, bit-identical")
+        check(gw.cluster()["gateway"]["n_connections_accepted"] == accepted,
+              "warm repeats opened no gateway connection")
 
         # 2. SSE payloads byte-identical to the TCP op:stream lines.  The
         # job is terminal, so both transports replay the same history;

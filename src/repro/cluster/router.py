@@ -42,7 +42,9 @@ a router from a single service.  What it adds:
   bound is a bound on bytes too — not on 4,096 inline images.  A job
   its owner answered *born done* from cache keeps the one terminal
   event the submit reply carried, and a stream of it is answered here,
-  with no second backend round trip.
+  with no second backend round trip.  The reply goes on to the client
+  with that event and the job's ``trace``, so a client that just
+  submitted it need not stream at all.
 
 Job ids: the router mints its own (``cjob-…``) and maps them to the
 backend-local ids, which is what makes restart/failover transparent —
@@ -419,10 +421,20 @@ class ShardRouter(JobServer):
                 return  # attempts exhausted: leave the rest pending
 
     # -- job registry ----------------------------------------------------------
-    def _complete(self, job: RouterJob, state: str) -> None:
+    def _complete(self, job: RouterJob, state: str,
+                  event: Optional[Dict[str, Any]] = None) -> None:
+        """Finish *job* in *state*; *event*, when the router saw the
+        job's terminal wire event, is digested into the result index.
+        A job already finished (an ``op: status`` reply got there
+        first) only gains the digest it lacks."""
         if job.terminal:
+            if event is not None and job.result_digest is None:
+                job.result_digest = self._digest_event(event)
+                self._record_result(job)
             return
         job.state = state
+        if event is not None:
+            job.result_digest = self._digest_event(event)
         # A finished job answers from its result: the spec (which pins
         # inline pixels) is in the WAL, and nothing re-dispatches or
         # mirrors a terminal job.
@@ -434,10 +446,7 @@ class ShardRouter(JobServer):
             mark_trace(job.trace_id, error=True)
         if self.job_log is not None:
             self.job_log.log_complete(job.rid, state)
-        if self.result_index is not None:
-            self.result_index.record(
-                job.rid, state, key=job.key or None, digest=job.result_digest
-            )
+        self._record_result(job)
         # A finished job no longer needs its warm standby: cancel the
         # mirror copy (fire-and-forget — the standby may be dead, and a
         # cancel that misses only costs the standby a redundant run
@@ -447,6 +456,13 @@ class ShardRouter(JobServer):
         if standby_node is not None and standby_bid is not None:
             self._spawn_side_task(
                 self._cancel_backend_job(standby_node, standby_bid)
+            )
+
+    def _record_result(self, job: RouterJob) -> None:
+        if self.result_index is not None:
+            self.result_index.record(
+                job.rid, job.state, key=job.key or None,
+                digest=job.result_digest,
             )
 
     @staticmethod
@@ -528,9 +544,6 @@ class ShardRouter(JobServer):
                 self._note_failover()
                 continue
             if reply.get("ok"):
-                # A born-done job's history rides its submit reply; the
-                # ack this router forwards stays the backend's ack.
-                terminal = reply.pop("terminal", None)
                 job.node_id = node_id
                 job.backend_job_id = reply.get("job_id")
                 job.state = "routed"
@@ -553,10 +566,10 @@ class ShardRouter(JobServer):
                         job.rid, node=node_id, backend_job_id=job.backend_job_id
                     )
                 if reply.get("state") in ("done", "failed", "cancelled"):
-                    if terminal is not None:
-                        job.terminal_event = terminal
-                        job.result_digest = self._digest_event(terminal)
-                    self._complete(job, reply["state"])
+                    # A born-done job's history rides its submit reply,
+                    # which goes on to the client with it.
+                    job.terminal_event = reply.get("terminal")
+                    self._complete(job, reply["state"], job.terminal_event)
                 elif self.replication_factor > 1:
                     self._spawn_side_task(self._mirror(job))
             return reply
@@ -732,7 +745,11 @@ class ShardRouter(JobServer):
                     # The client saw the rejection; must not replay.
                     self._complete(job, "cancelled")
                     return reply
-                return {**reply, "job_id": job.rid, "node": job.node_id}
+                forwarded = {**reply, "job_id": job.rid, "node": job.node_id}
+                if "terminal" in reply:
+                    # The trace key this job's stream ack would carry.
+                    forwarded["trace"] = job.trace_id
+                return forwarded
 
     def _pending_doc(self, job: RouterJob) -> Dict[str, Any]:
         return {"ok": True, "job_id": job.rid, "state": "queued",
@@ -1169,8 +1186,7 @@ class ShardRouter(JobServer):
                         conn = None
                     yield event
                     if name in TERMINAL_EVENTS:
-                        job.result_digest = self._digest_event(event)
-                        self._complete(job, _EVENT_STATE[name])
+                        self._complete(job, _EVENT_STATE[name], event)
                         note_stream_span()
                         return
             except (BackendDown, OSError, asyncio.TimeoutError,

@@ -16,6 +16,14 @@ since it holds the wire until the job ends.  The kept connection is
 re-opened when the gateway hung up while it sat idle, when a reply is
 lost on it mid-call (retried once, idempotent methods only — a lost
 ``POST /v1/jobs`` may have been admitted), and in a forked child.
+
+A cache hit needs no stream: its submit reply is born done and carries
+the job's whole history (``terminal``) and trace id.  The client keeps
+its most recent such reply — one slot, replaced by the next submit —
+and :meth:`GatewayClient.stream` of that job rebuilds the ack frame
+and yields the event without opening a connection, so a warm
+:meth:`~GatewayClient.detect` is one request.  :meth:`stream_raw`
+always goes over the wire.
 """
 
 from __future__ import annotations
@@ -98,6 +106,8 @@ class GatewayClient:
         self._lock = threading.Lock()
         self._conn: Optional[http.client.HTTPConnection] = None
         self._pid = os.getpid()
+        #: The most recent submit reply, when it was born done.
+        self._born_done: Optional[Dict[str, Any]] = None
 
     # -- plumbing --------------------------------------------------------------
     def _connect(self, timeout: Optional[float] = None) -> http.client.HTTPConnection:
@@ -244,10 +254,13 @@ class GatewayClient:
             if trace:
                 headers["X-Repro-Trace"] = trace
             try:
-                return self.request("POST", "/v1/jobs", body,
-                                    extra_headers=headers)
+                reply = self.request("POST", "/v1/jobs", body,
+                                     extra_headers=headers)
             except QueueFullError as exc:  # QuotaExceededError included
                 retry.sleep(retry_after=exc.retry_after, error=exc)
+                continue
+            self._born_done = reply if "terminal" in reply else None
+            return reply
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self.request("GET", f"/v1/jobs/{job_id}")
@@ -312,7 +325,18 @@ class GatewayClient:
     def stream(self, job_id: str,
                timeout: Optional[float] = None) -> Iterator[Dict[str, Any]]:
         """The job's stream documents, decoded — the SSE spelling of
-        ``ServiceClient.stream``."""
+        ``ServiceClient.stream``.  For the job this client's last
+        submit got back born done, the same documents come from that
+        reply: the ack frame the gateway would send, then the event."""
+        reply = self._born_done
+        if reply is not None and reply["job_id"] == job_id:
+            ack = {"ok": True, "job_id": job_id, "state": reply["state"]}
+            if "node" in reply:  # a router's ack names the owner
+                ack["node"] = reply["node"]
+            ack["trace"] = reply.get("trace")
+            yield ack
+            yield reply["terminal"]
+            return
         for _event, data in self.stream_raw(job_id, timeout=timeout):
             yield json.loads(data)
 

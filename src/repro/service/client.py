@@ -2,7 +2,9 @@
 
 One persistent socket per client; every method is a request/reply pair
 except :meth:`ServiceClient.stream`, which consumes event lines until a
-terminal event.  The CLI (``repro detect --server``) and the service
+terminal event — or, for the job the client's last submit got back born
+done from cache, yields the terminal event that reply carried without
+asking again.  The CLI (``repro detect --server``) and the service
 tests/benchmarks are the callers; nothing here imports numpy or the
 engine, so a thin consumer can talk to a heavy server.  A cluster
 router speaks the identical protocol, so the same client works against
@@ -142,6 +144,8 @@ class ServiceClient:
         )
         self._sock: Optional[socket.socket] = None
         self._file = None
+        #: The most recent submit reply, when it was born done.
+        self._born_done: Optional[Dict[str, Any]] = None
 
     # -- connection ------------------------------------------------------------
     def connect(self) -> "ServiceClient":
@@ -294,9 +298,12 @@ class ServiceClient:
             if retry.deadline_at is not None:
                 payload["deadline"] = max(0.0, retry.remaining())
             try:
-                return self._call(payload, idempotent=False)
+                reply = self._call(payload, idempotent=False)
             except QueueFullError as exc:  # QuotaExceededError included
                 retry.sleep(retry_after=exc.retry_after, error=exc)
+                continue
+            self._born_done = reply if "terminal" in reply else None
+            return reply
 
     def submit_wait(
         self, job: Dict[str, Any], priority: int = 0,
@@ -368,7 +375,17 @@ class ServiceClient:
         replays the job's event history on re-attach, so consumers may
         see duplicate planning/fragment events — the terminal event
         still arrives exactly once per successful stream.
+
+        A job born done from cache has one event, and its submit reply
+        carried it (``terminal``).  The client keeps its most recent
+        such reply — one slot, replaced by the next :meth:`submit` —
+        and a stream of that job yields the event from it with no
+        request, so a warm :meth:`detect` is one round trip.
         """
+        reply = self._born_done
+        if reply is not None and reply["job_id"] == job_id:
+            yield reply["terminal"]
+            return
         retry = self.reconnect_policy.start(op="client.stream")
         while True:
             self._call({"op": "stream", "job_id": job_id})  # ack header

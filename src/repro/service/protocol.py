@@ -58,7 +58,9 @@ Server → client: every reply carries ``ok``; streamed event lines carry
 schema (:func:`repro.engine.cache.result_to_json`) so a streamed result
 and a cached one are byte-comparable.  The submit reply of a job born
 done from cache also carries ``terminal``: its one terminal event, the
-whole history a stream of the job would replay.
+whole history a stream of the job would replay — and ``trace``, the
+trace id that stream's ack would carry.  Both clients answer a stream
+of that job from the reply instead of asking again.
 """
 
 from __future__ import annotations

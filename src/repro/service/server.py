@@ -376,8 +376,9 @@ class DetectionService(JobServer):
     def _admit_done(self, job: Job, hit) -> Dict[str, Any]:
         """A cache hit completes the job at admission: no queue slot,
         no worker, no request.  The reply carries the job's whole
-        history — its one terminal event — under ``terminal``, so a
-        caller need not stream it back."""
+        history — its one terminal event — under ``terminal``, and the
+        ``trace`` its stream ack would carry, so a caller need not
+        stream it back."""
         self.n_cache_hits += 1
         self.n_submitted += 1
         self._count_submission("cache_hit")
@@ -389,7 +390,8 @@ class DetectionService(JobServer):
         self._finish(job, JobState.DONE, event)
         self._register(job.id, job)
         return {"ok": True, "job_id": job.id, "cached": True,
-                "state": job.state.value, "terminal": event}
+                "state": job.state.value, "terminal": event,
+                "trace": job.trace_id}
 
     def _enqueue(self, job: Job, spec: Optional[Dict[str, Any]],
                  client: Optional[str]) -> Dict[str, Any]:

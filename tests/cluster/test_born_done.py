@@ -71,7 +71,8 @@ def test_born_done_streams_equal_the_owners_replay_over_tcp_and_sse():
             cluster.client() as client, cluster.gateway_client() as gateway:
         client.detect(job)  # cold: fills the owner's cache
         ack = client.submit(job)
-        assert set(ack) == {"ok", "job_id", "cached", "state", "node"}
+        assert set(ack) == {"ok", "job_id", "cached", "state", "node",
+                            "terminal", "trace"}
         assert ack["cached"] and ack["state"] == "done"
         rjob = cluster.router._jobs[ack["job_id"]]
         owner_ack, owner_events = backend_stream(
@@ -123,3 +124,17 @@ def test_a_completion_seen_only_in_a_status_document_records_no_digest():
         entry = cluster.router.result_index.load()[ack["job_id"]]
     assert entry.state == "done"
     assert entry.digest is None
+
+
+def test_a_stream_after_a_status_completion_records_the_digest():
+    with LocalCluster(n_backends=1) as cluster, cluster.client() as client:
+        ack = client.submit(inline_job(seed=6))
+        deadline = time.monotonic() + 10.0
+        while client.status(ack["job_id"])["state"] != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        assert cluster.router.result_index.load()[ack["job_id"]].digest is None
+        terminal = list(client.stream(ack["job_id"]))[-1]
+        entry = cluster.router.result_index.load()[ack["job_id"]]
+    assert entry.state == "done"
+    assert entry.digest == ShardRouter._digest_event(terminal)
