@@ -9,7 +9,9 @@ correctness contract:
 1. for all four strategies, a detection submitted over HTTP and
    streamed over SSE is bit-identical to a direct ``engine.run()``;
    repeated, each is a cache hit with the bit-identical result, answered
-   by its submit reply alone — the gateway accepts no connection;
+   by its submit reply alone — the gateway accepts no connection; and
+   repeated again, the router answers it from its result memo — no
+   backend's cache-hit counter moves;
 2. every SSE data payload is byte-identical to the JSON line the TCP
    ``op: stream`` sends for the same job;
 3. a backend killed mid-SSE-stream triggers failover and the stream
@@ -114,6 +116,22 @@ def main() -> int:
                   f"{strategy}: warm repeat is a cache hit, bit-identical")
         check(gw.cluster()["gateway"]["n_connections_accepted"] == accepted,
               "warm repeats opened no gateway connection")
+
+        # ... and warm again: the router remembers each key's born-done
+        # result, so no backend sees these repeats at all.
+        def backend_cache_hits():
+            return sum(b.handle.service.stats()["n_cache_hits"]
+                       for b in cluster.backends)
+
+        hits = backend_cache_hits()
+        for strategy in STRATEGIES:
+            out = gw.detect(section_one_job(strategy))
+            check(out.get("cached") is True and
+                  out.get("result") == cold[strategy]["result"],
+                  f"{strategy}: second warm repeat answered by the router, "
+                  "bit-identical")
+        check(backend_cache_hits() == hits,
+              "second warm repeats reached no backend cache")
 
         # 2. SSE payloads byte-identical to the TCP op:stream lines.  The
         # job is terminal, so both transports replay the same history;

@@ -44,7 +44,21 @@ a router from a single service.  What it adds:
   event the submit reply carried, and a stream of it is answered here,
   with no second backend round trip.  The reply goes on to the client
   with that event and the job's ``trace``, so a client that just
-  submitted it need not stream at all.
+  submitted it need not stream at all;
+* **a result memo for repeats**: the first cache hit of a key teaches
+  the router that key's result — the owner's born-done ``terminal``
+  event.  A bounded LRU (:data:`RESULT_MEMO_CAPACITY` keys) keeps that
+  event, its digest and the answering node, and every later submit of
+  the key is answered here, exactly as the owner's hit was, with no
+  backend call, no WAL record and no digest.  Results are bit-identical
+  per content-addressed key, so a memoised event is the one the owner
+  would send again.  Only such cache hits fill it: cold completions,
+  failures, status-only completions, index-restored jobs and
+  uncacheable specs never do.  A memo hit still spends quota, is still
+  shed past its deadline, and is still recorded in the result index;
+  it answers with every backend down, and its status, cancel and
+  stream are answered from the router's record.  The memo lives in
+  memory only and starts empty after a restart.
 
 Job ids: the router mints its own (``cjob-…``) and maps them to the
 backend-local ids, which is what makes restart/failover transparent —
@@ -122,6 +136,11 @@ __all__ = [
 #: that one terminal event (a few KB) — never its spec's pixels.
 DEFAULT_JOB_RETENTION = 4096
 
+#: Request keys whose born-done result the router answers repeats from
+#: (one shared terminal event each, a few KB) — sized like the spec
+#: fingerprint memo's :data:`~repro.service.protocol.SPEC_MEMO_CAPACITY`.
+RESULT_MEMO_CAPACITY = 512
+
 #: Wire event name → job-log completion state.
 _EVENT_STATE = {"result": "done", "error": "failed", "cancelled": "cancelled"}
 
@@ -181,7 +200,11 @@ class RouterJob:
     result_digest: Optional[str] = None
     #: A born-done job's one terminal event, off its submit reply:
     #: streams of the job are answered from it, without a backend.
+    #: For a memo hit it *is* the memo's event object — never mutated.
     terminal_event: Optional[Dict[str, Any]] = None
+    #: Answered from the router's result memo: no backend ever held
+    #: this job, so its status/cancel/stream never ask one.
+    memo_hit: bool = False
     submitted_at: float = field(default_factory=time.monotonic)
     lock: "asyncio.Lock" = field(default_factory=asyncio.Lock, repr=False)
 
@@ -276,6 +299,10 @@ class ShardRouter(JobServer):
         )
         self._replay_task: Optional[asyncio.Task] = None
         self._side_tasks: set = set()  #: mirror/standby-cancel fire-and-forgets
+        #: request key → (terminal event, its digest, answering node)
+        #: of a born-done cache hit; LRU, :data:`RESULT_MEMO_CAPACITY`.
+        self._result_memo: "OrderedDict[str, Tuple[Dict[str, Any], str, str]]" = (
+            OrderedDict())
         self.n_submitted = 0
         self.n_routed = 0
         self.n_failovers = 0
@@ -284,6 +311,7 @@ class ShardRouter(JobServer):
         self.n_restored = 0
         self.n_mirrored = 0
         self.n_standby_promotions = 0
+        self.n_memo_hits = 0
         self.obs.gauge(
             "cluster_backends_healthy",
             help="Backends currently eligible for new placement.",
@@ -570,9 +598,49 @@ class ShardRouter(JobServer):
                     # which goes on to the client with it.
                     job.terminal_event = reply.get("terminal")
                     self._complete(job, reply["state"], job.terminal_event)
+                    if reply.get("cached"):
+                        self._memoise(job)
                 elif self.replication_factor > 1:
                     self._spawn_side_task(self._mirror(job))
             return reply
+
+    def _memoise(self, job: RouterJob) -> None:
+        """Remember a born-done cache hit's result under its key.  A
+        cached reply proves the key content-addressed; only a ``done``
+        job whose event is a ``result`` qualifies."""
+        event = job.terminal_event
+        if (job.state != "done" or not isinstance(event, dict)
+                or event.get("event") != "result"):
+            return
+        self._result_memo[job.key] = (event, job.result_digest, job.node_id)
+        self._result_memo.move_to_end(job.key)
+        while len(self._result_memo) > RESULT_MEMO_CAPACITY:
+            self._result_memo.popitem(last=False)
+
+    def _memo_answer(self, job: RouterJob) -> Optional[Dict[str, Any]]:
+        """The submit reply for *job* from the result memo — the same
+        document a backend-answered hit gets — or ``None`` on a miss.
+        A hit registers *job* terminal and records it in the result
+        index; it makes no backend call and writes no WAL record."""
+        entry = self._result_memo.get(job.key)
+        if entry is None:
+            return None
+        self._result_memo.move_to_end(job.key)
+        job.terminal_event, job.result_digest, job.node_id = entry
+        job.spec = {}
+        job.state = "done"
+        job.memo_hit = True
+        self.n_memo_hits += 1
+        self._count(
+            "cluster_memo_hits_total",
+            "Submissions answered from the router's result memo, "
+            "with no backend call.",
+        )
+        self._register(job.rid, job)
+        self._record_result(job)
+        return {"ok": True, "job_id": job.rid, "cached": True,
+                "state": job.state, "terminal": job.terminal_event,
+                "trace": job.trace_id, "node": job.node_id}
 
     def _submit_msg(self, job: RouterJob) -> Dict[str, Any]:
         """The backend submit message for *job*, with the remaining
@@ -727,6 +795,12 @@ class ShardRouter(JobServer):
                     "cluster_submissions_total",
                     "Client submissions this router accepted.",
                 )
+                if deadline_at is None or time.monotonic() < deadline_at:
+                    # A spent deadline skips the memo: dispatch sheds it.
+                    answered = self._memo_answer(job)
+                    if answered is not None:
+                        span.labels["answered"] = "router"
+                        return answered
                 self._register(job.rid, job)
                 if self.job_log is not None:
                     self.job_log.log_submit(
@@ -759,11 +833,13 @@ class ShardRouter(JobServer):
     def _terminal_doc(self, job: RouterJob) -> Dict[str, Any]:
         """Status answered from the router's own record — the backend
         holding the job's history is gone (or was never this router's,
-        for index-restored jobs)."""
+        for index-restored jobs; or never existed, for memo hits)."""
         doc: Dict[str, Any] = {"ok": True, "job_id": job.rid,
                                "state": job.state, "node": None}
         if job.restored:
             doc["restored"] = True
+        if job.memo_hit:
+            doc["cached"] = True
         if job.result_digest:
             doc["digest"] = job.result_digest
         return doc
@@ -779,6 +855,8 @@ class ShardRouter(JobServer):
         would mark a healthy node down.
         """
         job = self._job(msg.get("job_id"))
+        if job.memo_hit:
+            return self._terminal_doc(job)
         for attempt in range(2):
             if job.node_id is None:
                 if job.terminal:
@@ -894,6 +972,7 @@ class ShardRouter(JobServer):
             "n_restored": self.n_restored,
             "n_mirrored": self.n_mirrored,
             "n_standby_promotions": self.n_standby_promotions,
+            "n_memo_hits": self.n_memo_hits,
             "replication_factor": self.replication_factor,
             "n_connections_accepted": int(self._accepted.value),
             "n_connections_open": len(self._connections),
@@ -984,13 +1063,15 @@ class ShardRouter(JobServer):
         if not isinstance(trace_key, str) or not trace_key:
             raise ServiceError("trace needs a 'job_id' or 'trace' id")
 
+        # A memo hit was answered here: no backend holds a span of it.
+        fan_out = job is None or not job.memo_hit
         candidates: list = []
-        if job is not None:
+        if job is not None and fan_out:
             for nid in (job.node_id, job.standby_node_id):
                 node = self.pool.nodes.get(nid) if nid else None
                 if node is not None and node not in candidates:
                     candidates.append(node)
-        if not candidates:
+        if not candidates and fan_out:
             candidates = [n for n in self.pool.nodes.values() if n.healthy]
 
         async def fetch(node: BackendNode):
@@ -1090,11 +1171,11 @@ class ShardRouter(JobServer):
         their node's ``n_active_streams`` while attached, which is what
         drain-mode membership removal waits on.
 
-        A born-done job (its owner answered the submit from cache) is
-        answered here from the terminal event its submit reply carried:
-        the same ack, then that event — the history the owner would
-        replay — with no backend call, so it streams even after its
-        owner is gone.
+        A born-done job (its owner answered the submit from cache, or
+        the result memo did) is answered here from the terminal event
+        its submit reply carried: the same ack, then that event — the
+        history the owner would replay — with no backend call, so it
+        streams even after its owner is gone.
         """
         job = self._job(rid)
         ack_sent = False
@@ -1184,9 +1265,11 @@ class ShardRouter(JobServer):
                         # request/reply mode: the wire is clean.
                         self.pool.release(node, conn)
                         conn = None
+                        # Recorded before the event leaves: a client
+                        # that has the result finds its digest indexed.
+                        self._complete(job, _EVENT_STATE[name], event)
                     yield event
                     if name in TERMINAL_EVENTS:
-                        self._complete(job, _EVENT_STATE[name], event)
                         note_stream_span()
                         return
             except (BackendDown, OSError, asyncio.TimeoutError,
